@@ -88,12 +88,25 @@ def load_config(path: str | None) -> dict:
     return doc
 
 
+def _integer(value, key: str, low: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 class Run:
     """Merged view of config file plus command-line overrides."""
 
     def __init__(self, args: argparse.Namespace):
         self.cfg = load_config(args.config)
         self.args = args
+        # plain values are checked here, before any command reads a design
+        self.seed = _integer(self._pick("seed", "seed", 0), "seed", 0)
+        self.jobs = _integer(self.cfg.get("jobs", os.cpu_count() or 1), "jobs", 1)
+        ratio = self.cfg.get("ratio", 0.2)
+        if not isinstance(ratio, (int, float)) or isinstance(ratio, bool):
+            raise ConfigError(f"ratio must be a number, got {ratio!r}")
+        self.ratio = float(ratio)
 
     def _pick(self, flag: str, key: str, default):
         v = getattr(self.args, flag, None)
@@ -118,14 +131,6 @@ class Run:
     @property
     def top(self) -> str | None:
         return self._pick("top", "top", None)
-
-    @property
-    def seed(self) -> int:
-        return int(self._pick("seed", "seed", 0))
-
-    @property
-    def ratio(self) -> float:
-        return float(self.cfg.get("ratio", 0.2))
 
     @property
     def out(self) -> Path:
@@ -160,10 +165,6 @@ class Run:
             raise ConfigError(f"checkpoint not found: {p}")
         return p
 
-    @property
-    def jobs(self) -> int:
-        return int(self.cfg.get("jobs", os.cpu_count() or 1))
-
     def train_config(self) -> TrainConfig:
         sub = dict(self.cfg.get("train", {}))
         sub["seed"] = self.seed
@@ -193,6 +194,19 @@ class Run:
 
 def _design_dirs(root: Path) -> list[Path]:
     return sorted(p for p in root.iterdir() if p.is_dir())
+
+
+def _labeled_designs(run: Run, key: str):
+    """Corpus design dirs, the checked manifest, and each design's `key` field."""
+    designs = _design_dirs(run.corpus)
+    manifest = run.manifest()
+    _check_manifest(manifest, [p.name for p in designs])
+    values = {}
+    for p in designs:
+        if manifest[p.name].get(key) is None:
+            raise ConfigError(f"manifest entry for {p.name!r} lacks a {key!r} field")
+        values[p.name] = manifest[p.name][key]
+    return designs, manifest, values
 
 
 def _check_manifest(manifest: dict, designs: list[str]) -> None:
@@ -228,12 +242,17 @@ def _graph_worker(task: tuple) -> tuple:
         return (path.name, 0, 0, time.perf_counter() - started, f"{type(exc).__name__}: {exc}")
 
 
-def cmd_graph(run: Run) -> int:
-    inputs = [Path(p) for p in run.args.inputs]
-    if not inputs and run.cfg.get("corpus"):
-        inputs = _design_dirs(run.corpus)
-    if not inputs:
+def _input_paths(run: Run) -> list[Path]:
+    paths = [Path(p) for p in run.args.inputs]
+    if not paths and run.cfg.get("corpus"):
+        paths = _design_dirs(run.corpus)
+    if not paths:
         raise ConfigError("no input design directories (give paths or set 'corpus')")
+    return paths
+
+
+def cmd_graph(run: Run) -> int:
+    inputs = _input_paths(run)
     out_dir = run.out
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(str(p), run.kind, run.abstraction, run.top, str(out_dir)) for p in inputs]
@@ -260,22 +279,25 @@ def cmd_graph(run: Run) -> int:
 
 # --- dataset assembly for the learning commands ---
 
+def _encode(run: Run, g, vocab, label=None):
+    if run.cache is not None:
+        return graphdata.encode_cached(g, vocab, run.cache, label=label)
+    return graphdata.encode(g, vocab, label=label)
+
+
+def _normalized(run: Run, path: Path):
+    return graphdata.normalize(_extract_one(path, run.kind, run.abstraction, run.top))
+
+
 def _encode_corpus(run: Run, designs: list[Path], labels: dict | None = None):
     """Extract, normalize, and one-hot encode every design; returns
     (tensors by design name, vocab)."""
-    graphs = {}
-    for p in designs:
-        graphs[p.name] = graphdata.normalize(
-            _extract_one(p, run.kind, run.abstraction, run.top)
-        )
+    graphs = {p.name: _normalized(run, p) for p in designs}
     vocab = graphdata.build_vocab(list(graphs.values()))
-    tensors = {}
-    for name, g in graphs.items():
-        label = labels.get(name) if labels else None
-        if run.cache is not None:
-            tensors[name] = graphdata.encode_cached(g, vocab, run.cache, label=label)
-        else:
-            tensors[name] = graphdata.encode(g, vocab, label=label)
+    tensors = {
+        name: _encode(run, g, vocab, labels.get(name) if labels else None)
+        for name, g in graphs.items()
+    }
     return tensors, vocab
 
 
@@ -308,18 +330,10 @@ def _save_artifacts(run: Run, ckpt, vocab, report) -> None:
 
 
 def cmd_train_ht(run: Run) -> int:
-    designs = _design_dirs(run.corpus)
-    manifest = run.manifest()
-    _check_manifest(manifest, [p.name for p in designs])
-    labels = {}
-    for p in designs:
-        label = manifest[p.name].get("label")
-        if label is None:
-            raise ConfigError(f"manifest entry for {p.name!r} lacks a 'label' field")
-        labels[p.name] = label
+    cfg = run.train_config()
+    designs, manifest, labels = _labeled_designs(run, "label")
     tensors, vocab = _encode_corpus(run, designs, labels)
     part = _split_ids(run, sorted(tensors), manifest)
-    cfg = run.train_config()
     ckpt = learnpipe.train_graph_classifier(
         [tensors[i] for i in part.train],
         [tensors[i] for i in part.test],
@@ -336,20 +350,12 @@ def cmd_train_ht(run: Run) -> int:
 
 
 def cmd_train_ip(run: Run) -> int:
-    designs = _design_dirs(run.corpus)
-    manifest = run.manifest()
-    _check_manifest(manifest, [p.name for p in designs])
-    category_of = {}
-    for p in designs:
-        cat = manifest[p.name].get("category")
-        if cat is None:
-            raise ConfigError(f"manifest entry for {p.name!r} lacks a 'category' field")
-        category_of[p.name] = cat
+    cfg = run.train_config()
+    designs, manifest, category_of = _labeled_designs(run, "category")
     tensors, vocab = _encode_corpus(run, designs)
     part = _split_ids(run, sorted(tensors), manifest)
     train_pairs = graphdata.make_pairs(part.train, category_of)
     test_pairs = graphdata.make_pairs(part.test, category_of)
-    cfg = run.train_config()
     ckpt = learnpipe.train_pair_model(
         train_pairs, test_pairs, tensors, cfg, vocab_fingerprint=vocab.fingerprint
     )
@@ -366,34 +372,15 @@ def cmd_train_ip(run: Run) -> int:
 
 def _load_model_and_vocab(run: Run):
     vocab_path = run.checkpoint.parent / "vocab.txt"
-    vocab = graphdata.load_vocab(vocab_path) if vocab_path.is_file() else None
-    fp = vocab.fingerprint if vocab is not None else None
-    ckpt = learnpipe.load_checkpoint(run.checkpoint, vocab_fingerprint=fp)
-    if vocab is None:
-        raise ConfigError(
-            f"vocabulary file not found next to checkpoint: {vocab_path}"
-        )
+    if not vocab_path.is_file():
+        raise ConfigError(f"vocabulary file not found next to checkpoint: {vocab_path}")
+    vocab = graphdata.load_vocab(vocab_path)
+    ckpt = learnpipe.load_checkpoint(run.checkpoint, vocab_fingerprint=vocab.fingerprint)
     return ckpt.model, vocab
 
 
 def _encode_inputs(run: Run, paths: list[Path], vocab):
-    tensors = []
-    for p in paths:
-        g = graphdata.normalize(_extract_one(p, run.kind, run.abstraction, run.top))
-        if run.cache is not None:
-            tensors.append(graphdata.encode_cached(g, vocab, run.cache))
-        else:
-            tensors.append(graphdata.encode(g, vocab))
-    return tensors
-
-
-def _input_paths(run: Run) -> list[Path]:
-    paths = [Path(p) for p in run.args.inputs]
-    if not paths and run.cfg.get("corpus"):
-        paths = _design_dirs(run.corpus)
-    if not paths:
-        raise ConfigError("no input design directories (give paths or set 'corpus')")
-    return paths
+    return [_encode(run, _normalized(run, p), vocab) for p in paths]
 
 
 def cmd_embed(run: Run) -> int:

@@ -3,6 +3,7 @@ and the two task heads (2-class classifier, Siamese cosine)."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,12 +88,6 @@ class ConvLayer:
         return pre
 
 
-@dataclass
-class PoolLayer:
-    scorer: ConvLayer  # out_dim 1, identity activation: raw scores
-    pooling_ratio: float = 0.5
-
-
 class Mlp:
     def __init__(self, in_dim: int, hidden: list[int], out_dim: int, rng, name: str):
         dims = [in_dim] + list(hidden) + [out_dim]
@@ -118,39 +113,63 @@ class Mlp:
 class GnnModel:
     arch: dict
     conv_stack: list[ConvLayer]
-    pool: PoolLayer
-    readout_mode: str
-    head: str
-    mlp: Mlp | None
+    scorer: ConvLayer  # out_dim 1, identity activation: raw pooling scores
+    mlp: Mlp | None  # classifier head only
     vocab_fingerprint: str = ""
-    directed_messages: bool = False
 
     def params(self) -> list[nc.Parameter]:
         out: list[nc.Parameter] = []
         for layer in self.conv_stack:
             out.extend(layer.params())
-        out.extend(self.pool.scorer.params())
+        out.extend(self.scorer.params())
         if self.mlp is not None:
             out.extend(self.mlp.params())
         return out
 
 
-def build_model(arch: dict, seed: int = 0, vocab_fingerprint: str = "") -> GnnModel:
-    cfg = dict(DEFAULT_ARCH)
-    unknown = set(arch) - set(cfg)
+_ARCH_CHOICES = {
+    "activation": ACTIVATIONS,
+    "readout": ("sum", "mean"),
+    "head": ("classifier", "siamese"),
+    "directed_messages": (False, True),
+}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_arch(arch: dict) -> dict:
+    """DEFAULT_ARCH overlaid with ``arch``, every value checked; raises
+    ValueError naming the first bad key."""
+    if not isinstance(arch, dict):
+        raise ValueError(f"architecture must be a mapping, got {type(arch).__name__}")
+    unknown = set(arch) - set(DEFAULT_ARCH)
     if unknown:
         raise ValueError(f"unknown architecture keys {sorted(unknown)}")
-    cfg.update(arch)
-    if not cfg["in_dim"]:
-        raise ValueError("arch requires in_dim (vocabulary size)")
-    if cfg["readout"] not in ("sum", "mean"):
-        raise ValueError(f"readout must be sum or mean, got {cfg['readout']!r}")
-    if cfg["head"] not in ("classifier", "siamese"):
-        raise ValueError(f"head must be classifier or siamese, got {cfg['head']!r}")
-    if not 0.0 < cfg["pooling_ratio"] <= 1.0:
-        raise ValueError("pooling_ratio must be in (0, 1]")
+    cfg = {**DEFAULT_ARCH, **arch}
+    if not _is_int(cfg["in_dim"]) or cfg["in_dim"] < 1:
+        raise ValueError(f"arch requires in_dim (vocabulary size), got {cfg['in_dim']!r}")
+    for key in ("conv_dims", "mlp_hidden"):
+        dims = cfg[key]
+        if not isinstance(dims, (list, tuple)) or not all(_is_int(d) and d > 0 for d in dims):
+            raise ValueError(f"{key} must be a list of positive integers, got {dims!r}")
+        cfg[key] = list(dims)
+    if not cfg["conv_dims"]:
+        raise ValueError("conv_dims needs at least one layer")
+    ratio = cfg["pooling_ratio"]
+    if not isinstance(ratio, numbers.Real) or isinstance(ratio, bool) or not 0.0 < ratio <= 1.0:
+        raise ValueError(f"pooling_ratio must be in (0, 1], got {ratio!r}")
+    for key, allowed in _ARCH_CHOICES.items():
+        if cfg[key] not in allowed:
+            raise ValueError(f"{key} must be one of {allowed}, got {cfg[key]!r}")
+    return cfg
+
+
+def build_model(arch: dict, seed: int = 0, vocab_fingerprint: str = "") -> GnnModel:
+    cfg = check_arch(arch)
     rng = np.random.default_rng(seed)
-    dims = [cfg["in_dim"]] + list(cfg["conv_dims"])
+    dims = [cfg["in_dim"]] + cfg["conv_dims"]
     conv_stack = [
         ConvLayer(a, b, cfg["activation"], rng, f"conv{i}")
         for i, (a, b) in enumerate(zip(dims[:-1], dims[1:]))
@@ -158,28 +177,17 @@ def build_model(arch: dict, seed: int = 0, vocab_fingerprint: str = "") -> GnnMo
     scorer = ConvLayer(dims[-1], 1, "identity", rng, "pool.scorer")
     mlp = None
     if cfg["head"] == "classifier":
-        mlp = Mlp(dims[-1], list(cfg["mlp_hidden"]), 2, rng, "mlp")
+        mlp = Mlp(dims[-1], cfg["mlp_hidden"], 2, rng, "mlp")
     return GnnModel(
         arch=cfg,
         conv_stack=conv_stack,
-        pool=PoolLayer(scorer, cfg["pooling_ratio"]),
-        readout_mode=cfg["readout"],
-        head=cfg["head"],
+        scorer=scorer,
         mlp=mlp,
         vocab_fingerprint=vocab_fingerprint,
-        directed_messages=bool(cfg["directed_messages"]),
     )
 
 
 # --- model stages ---
-
-def graph_conv(X: nc.Tensor, A, layer: ConvLayer, directed: bool = False) -> nc.Tensor:
-    return layer.forward(X, build_adjacency(X.rows, A, directed))
-
-
-def score_nodes(X_prop: nc.Tensor, A, pool: PoolLayer, directed: bool = False) -> nc.Tensor:
-    return pool.scorer.forward(X_prop, build_adjacency(X_prop.rows, A, directed))
-
 
 def topk_filter(alpha, pr: float, n: int) -> list[int]:
     """Indices of the k = ceil(pr*n) highest scores (k >= 1), ties broken
@@ -195,13 +203,10 @@ def topk_filter(alpha, pr: float, n: int) -> list[int]:
     return sorted(order[:k])
 
 
-def pool_graph(X_prop: nc.Tensor, A, alpha: nc.Tensor, P: list[int]):
-    """Gate rows by tanh(score), keep rows P, induce the subgraph edges."""
+def pool_graph(X_prop: nc.Tensor, alpha: nc.Tensor, P: list[int]) -> nc.Tensor:
+    """Gate rows by tanh(score) and keep rows P."""
     gated = nc.row_scale(X_prop, nc.tanh_(alpha))
-    X_pool = nc.gather_rows(gated, np.asarray(P, dtype=np.intp))
-    rank = {v: i for i, v in enumerate(P)}
-    A_pool = [(rank[s], rank[d]) for s, d in A if s in rank and d in rank]
-    return X_pool, A_pool
+    return nc.gather_rows(gated, np.asarray(P, dtype=np.intp))
 
 
 def readout(X_pool: nc.Tensor, mode: str) -> nc.Tensor:
@@ -217,23 +222,22 @@ def readout(X_pool: nc.Tensor, mode: str) -> nc.Tensor:
 def embed(model: GnnModel, tensors) -> nc.Tensor:
     """conv stack -> score -> top-k -> pool -> readout; one row out."""
     X = nc.constant(tensors.X)
-    adj = build_adjacency(X.rows, tensors.A, model.directed_messages)
+    adj = build_adjacency(X.rows, tensors.A, model.arch["directed_messages"])
     for layer in model.conv_stack:
         X = layer.forward(X, adj)
-    alpha = model.pool.scorer.forward(X, adj)
-    P = topk_filter(alpha, model.pool.pooling_ratio, X.rows)
-    X_pool, _ = pool_graph(X, tensors.A, alpha, P)
-    return readout(X_pool, model.readout_mode)
+    alpha = model.scorer.forward(X, adj)
+    P = topk_filter(alpha, model.arch["pooling_ratio"], X.rows)
+    return readout(pool_graph(X, alpha, P), model.arch["readout"])
 
 
 def classify(model: GnnModel, h_g: nc.Tensor) -> nc.Tensor:
     """Class probabilities [Trojan, Non_Trojan]."""
-    if model.head != "classifier" or model.mlp is None:
+    if model.mlp is None:
         raise WrongHeadError("model has no classifier head")
     return nc.softmax_rows(model.mlp.forward(h_g))
 
 
 def pair_similarity(model: GnnModel, h_g1: nc.Tensor, h_g2: nc.Tensor) -> nc.Tensor:
-    if model.head != "siamese":
+    if model.arch["head"] != "siamese":
         raise WrongHeadError("model has no Siamese head")
     return nc.cosine(h_g1, h_g2)

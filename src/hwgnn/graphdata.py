@@ -19,7 +19,7 @@ from .errors import (
     UnknownCircuitError,
     UnknownLabelError,
 )
-from .hwgraph import AST_LABELS, DFG, DFG_LABELS, GraphNode, HWGraph, graph_to_json
+from .hwgraph import AST_LABELS, DFG, DFG_LABELS, GraphNode, HWGraph
 
 
 @dataclass
@@ -151,9 +151,14 @@ _CACHE_MAGIC = b"HWGT\x01"
 
 
 def cache_key(g: HWGraph, vocab: NodeVocab) -> str:
-    """Content hash of (canonical graph JSON, vocabulary fingerprint)."""
-    payload = graph_to_json(g).encode("utf-8") + vocab.fingerprint.encode("ascii")
-    return hashlib.sha256(payload).hexdigest()
+    """Content hash of everything encode() reads: the design name (a hit
+    returns the stored graph_id), kind, vocabulary fingerprint, node labels
+    in id order, and the sorted edge list."""
+    labels = [n.label for n in sorted(g.nodes, key=lambda n: n.id)]
+    head = json.dumps([g.design_name, g.kind, vocab.fingerprint, labels])
+    edges = np.asarray(g.edges, dtype="<i8").reshape(-1, 2)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+    return hashlib.sha256(head.encode("ascii") + edges.tobytes()).hexdigest()
 
 
 def _cache_path(root: Path, key: str) -> Path:

@@ -1,10 +1,14 @@
 """Losses, trainers, decision rules, metrics, checkpoints, and exports."""
 from __future__ import annotations
 
+import copy
 import json
 import math
+import numbers
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +23,7 @@ from .errors import (
     VersionMismatchError,
     VocabMismatchError,
 )
-from .graph2vec import GnnModel, build_model, classify, embed, pair_similarity
+from .graph2vec import GnnModel, build_model, check_arch, classify, embed, pair_similarity
 from .graphdata import GraphPair, GraphTensors
 
 TROJAN = "Trojan"
@@ -48,26 +52,32 @@ class TrainConfig:
     directed_messages: bool = False
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size <= 0 or self.lr <= 0:
-            raise ValueError("batch_size and lr must be positive")
+        for key in ("epochs", "batch_size", "mini_test_interval", "seed"):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if self.epochs < 0 or self.seed < 0:
+            raise ValueError("epochs and seed must be >= 0")
+        if self.batch_size <= 0 or self.lr <= 0 or self.mini_test_interval <= 0:
+            raise ValueError("batch_size, lr and mini_test_interval must be positive")
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must be in [0, 1), got {self.margin}")
         if not -1.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (-1, 1), got {self.delta}")
-        if self.mini_test_interval <= 0:
-            raise ValueError("mini_test_interval must be positive")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+        # in_dim and head are fixed per task at training time; check the rest
+        check_arch(self.arch(in_dim=1, head="classifier"))
 
     def arch(self, in_dim: int, head: str) -> dict:
         return {
             "in_dim": in_dim,
-            "conv_dims": list(self.conv_dims),
+            "conv_dims": copy.copy(self.conv_dims),
             "activation": self.activation,
             "pooling_ratio": self.pooling_ratio,
             "readout": self.readout,
             "head": head,
-            "mlp_hidden": list(self.mlp_hidden),
+            "mlp_hidden": copy.copy(self.mlp_hidden),
             "directed_messages": self.directed_messages,
         }
 
@@ -201,26 +211,25 @@ def _onehot(label) -> np.ndarray:
 
 
 def _is_trojan(label) -> bool:
-    return _onehot(label)[0, 0] == 1.0
+    return bool(_onehot(label)[0, 0] == 1.0)
+
+
+def _tally(outcomes: list[tuple[bool, bool]], per_item: list) -> EvalReport:
+    """Metrics over (predicted positive, truly positive) outcomes."""
+    counts = Counter(outcomes)
+    return compute_metrics(
+        counts[True, True], counts[True, False], counts[False, True], counts[False, False],
+        per_item,
+    )
 
 
 def evaluate_classifier(model: GnnModel, dataset: list[GraphTensors]) -> EvalReport:
-    tp = fp = fn = tn = 0
-    per_item = []
+    outcomes, per_item = [], []
     for t in dataset:
         verdict = predict_ht(model, t)
-        truth = _is_trojan(t.label)
-        predicted = verdict == TROJAN
-        if predicted and truth:
-            tp += 1
-        elif predicted and not truth:
-            fp += 1
-        elif not predicted and truth:
-            fn += 1
-        else:
-            tn += 1
+        outcomes.append((verdict == TROJAN, _is_trojan(t.label)))
         per_item.append({"graph_id": t.graph_id, "label": t.label, "prediction": verdict})
-    return compute_metrics(tp, fp, fn, tn, per_item)
+    return _tally(outcomes, per_item)
 
 
 def evaluate_pairs(
@@ -229,21 +238,12 @@ def evaluate_pairs(
     tensors_by_id: dict[str, GraphTensors],
     delta: float = 0.5,
 ) -> EvalReport:
-    tp = fp = fn = tn = 0
-    per_item = []
+    outcomes, per_item = [], []
     for pair in pairs:
         t1, t2 = tensors_by_id[pair.first], tensors_by_id[pair.second]
         sim = pair_similarity(model, embed(model, t1), embed(model, t2)).item()
         predicted = sim > delta
-        truth = pair.label == 1
-        if predicted and truth:
-            tp += 1
-        elif predicted and not truth:
-            fp += 1
-        elif not predicted and truth:
-            fn += 1
-        else:
-            tn += 1
+        outcomes.append((predicted, pair.label == 1))
         per_item.append(
             {
                 "first": pair.first,
@@ -253,52 +253,65 @@ def evaluate_pairs(
                 "prediction": PIRACY if predicted else NON_PIRACY,
             }
         )
-    return compute_metrics(tp, fp, fn, tn, per_item)
+    return _tally(outcomes, per_item)
 
 
 # --- training ---
 
-class _Queue:
+def _shuffled_forever(items: list, rng):
     """Endless deterministic sampler: shuffle, drain, reshuffle."""
-
-    def __init__(self, items: list, rng):
-        self.items = list(items)
-        self.rng = rng
-        self.buffer: list = []
-
-    def take(self, k: int) -> list:
-        out = []
-        while len(out) < k:
-            if not self.buffer:
-                order = self.rng.permutation(len(self.items))
-                self.buffer = [self.items[i] for i in order]
-            out.append(self.buffer.pop())
-        return out
+    while True:
+        for i in rng.permutation(len(items))[::-1]:
+            yield items[i]
 
 
-def _make_optimizer(cfg: TrainConfig, params: list[nc.Parameter]):
-    if cfg.optimizer == "adam":
-        opt = nc.Adam(params, lr=cfg.lr)
-        return lambda: opt.step()
-    if cfg.optimizer == "sgd":
-        return lambda: nc.sgd_step(params, cfg.lr)
-    raise ValueError(f"optimizer must be adam or sgd, got {cfg.optimizer!r}")
+def _fit(model: GnnModel, cfg: TrainConfig, n_train: int, next_batch, item_loss,
+         metric_name: str, metric) -> Checkpoint:
+    """The loop both trainers share.  Each step sums ``item_loss`` over
+    ``next_batch()`` and takes one optimizer step; ``metric()`` is scored
+    before training, every ``mini_test_interval`` steps and at the end, and
+    the parameters of the first best score are restored."""
+    params = model.params()
+    adam = nc.Adam(params, lr=cfg.lr) if cfg.optimizer == "adam" else None
+    history: list[dict] = []
+    best_metric, best_step, best_snap = -math.inf, 0, None
 
+    def validate(step: int) -> None:
+        nonlocal best_metric, best_step, best_snap
+        value = metric()
+        history.append({"step": step, metric_name: value})
+        if best_snap is None or value > best_metric:
+            best_metric, best_step, best_snap = value, step, [p.data.copy() for p in params]
 
-def _snapshot(model: GnnModel) -> list[np.ndarray]:
-    return [p.data.copy() for p in model.params()]
-
-
-def _restore(model: GnnModel, snap: list[np.ndarray]) -> None:
-    for p, data in zip(model.params(), snap):
+    validate(0)
+    step = 0
+    last_finite = math.inf
+    try:
+        for _ in range(cfg.epochs * max(1, math.ceil(n_train / cfg.batch_size))):
+            nc.zero_grads(params)
+            loss = None
+            for item in next_batch():
+                term = item_loss(item)
+                loss = term if loss is None else nc.add(loss, term)
+            if not np.isfinite(loss.data[0, 0]):
+                raise DivergenceError(step, last_finite)
+            last_finite = float(loss.data[0, 0])
+            nc.backward(loss)
+            if adam is not None:
+                adam.step()
+            else:
+                nc.sgd_step(params, cfg.lr)
+            step += 1
+            if step % cfg.mini_test_interval == 0:
+                validate(step)
+        validate(step)
+    except NonFiniteError as exc:
+        # blown-up weights surface as Inf in the next forward pass, well
+        # before the loss tensor itself could ever hold a NaN
+        raise DivergenceError(step, last_finite) from exc
+    for p, data in zip(params, best_snap):
         p.data[...] = data
-
-
-def _step_loss(loss: nc.Tensor, step: int, last_finite: float) -> float:
-    value = loss.data[0, 0]
-    if not np.isfinite(value):
-        raise DivergenceError(step, last_finite)
-    return float(value)
+    return Checkpoint(model=model, best_metric=best_metric, best_step=best_step, history=history)
 
 
 def train_graph_classifier(
@@ -311,54 +324,16 @@ def train_graph_classifier(
     best validation F1 across the initial, periodic, and final evaluations."""
     if not train or not val:
         raise ValueError("train and validation sets must both be nonempty")
-    in_dim = train[0].X.shape[1]
-    model = build_model(cfg.arch(in_dim, "classifier"), seed=cfg.seed,
+    model = build_model(cfg.arch(train[0].X.shape[1], "classifier"), seed=cfg.seed,
                         vocab_fingerprint=vocab_fingerprint)
-    params = model.params()
-    step_fn = _make_optimizer(cfg, params)
-    rng = np.random.default_rng(cfg.seed)
-
-    history: list[dict] = []
-
-    def validate(step: int) -> float:
-        metric = evaluate_classifier(model, val).f1
-        history.append({"step": step, "f1": metric})
-        return metric
-
-    best_metric = validate(0)
-    best_snap = _snapshot(model)
-    best_step = 0
-    queue = _Queue(list(range(len(train))), rng)
-    steps_per_epoch = max(1, math.ceil(len(train) / cfg.batch_size))
-    step = 0
-    last_finite = math.inf
-    try:
-        for _ in range(cfg.epochs):
-            for _ in range(steps_per_epoch):
-                batch = queue.take(min(cfg.batch_size, len(train)))
-                nc.zero_grads(params)
-                loss = None
-                for idx in batch:
-                    t = train[idx]
-                    item = cross_entropy(classify(model, embed(model, t)), _onehot(t.label))
-                    loss = item if loss is None else nc.add(loss, item)
-                last_finite = _step_loss(loss, step, last_finite)
-                nc.backward(loss)
-                step_fn()
-                step += 1
-                if step % cfg.mini_test_interval == 0:
-                    metric = validate(step)
-                    if metric > best_metric:
-                        best_metric, best_snap, best_step = metric, _snapshot(model), step
-        final = validate(step)
-    except NonFiniteError as exc:
-        # blown-up weights surface as Inf in the next forward pass, well
-        # before the loss tensor itself could ever hold a NaN
-        raise DivergenceError(step, last_finite) from exc
-    if final > best_metric:
-        best_metric, best_snap, best_step = final, _snapshot(model), step
-    _restore(model, best_snap)
-    return Checkpoint(model=model, best_metric=best_metric, best_step=best_step, history=history)
+    stream = _shuffled_forever(train, np.random.default_rng(cfg.seed))
+    return _fit(
+        model, cfg, len(train),
+        next_batch=lambda: list(islice(stream, min(cfg.batch_size, len(train)))),
+        item_loss=lambda t: cross_entropy(classify(model, embed(model, t)), _onehot(t.label)),
+        metric_name="f1",
+        metric=lambda: evaluate_classifier(model, val).f1,
+    )
 
 
 def train_pair_model(
@@ -372,67 +347,31 @@ def train_pair_model(
     balanced half from each pair polarity when both exist."""
     if not train_pairs or not val_pairs:
         raise ValueError("train and validation pair sets must both be nonempty")
-    some_id = train_pairs[0].first
-    in_dim = tensors_by_id[some_id].X.shape[1]
+    in_dim = tensors_by_id[train_pairs[0].first].X.shape[1]
     model = build_model(cfg.arch(in_dim, "siamese"), seed=cfg.seed,
                         vocab_fingerprint=vocab_fingerprint)
-    params = model.params()
-    step_fn = _make_optimizer(cfg, params)
     rng = np.random.default_rng(cfg.seed)
-
-    history: list[dict] = []
-
-    def validate(step: int) -> float:
-        metric = evaluate_pairs(model, val_pairs, tensors_by_id, cfg.delta).accuracy
-        history.append({"step": step, "accuracy": metric})
-        return metric
-
-    best_metric = validate(0)
-    best_snap = _snapshot(model)
-    best_step = 0
-
     positives = [p for p in train_pairs if p.label == 1]
     negatives = [p for p in train_pairs if p.label == -1]
-    balanced = bool(positives) and bool(negatives)
-    if balanced:
-        pos_queue = _Queue(positives, rng)
-        neg_queue = _Queue(negatives, rng)
+    if positives and negatives:
+        half = max(1, cfg.batch_size // 2)
+        draws = [(_shuffled_forever(positives, rng), half),
+                 (_shuffled_forever(negatives, rng), cfg.batch_size - half)]
     else:
-        all_queue = _Queue(train_pairs, rng)
+        draws = [(_shuffled_forever(train_pairs, rng), min(cfg.batch_size, len(train_pairs)))]
 
-    steps_per_epoch = max(1, math.ceil(len(train_pairs) / cfg.batch_size))
-    step = 0
-    last_finite = math.inf
-    try:
-        for _ in range(cfg.epochs):
-            for _ in range(steps_per_epoch):
-                if balanced:
-                    half = max(1, cfg.batch_size // 2)
-                    batch = pos_queue.take(half) + neg_queue.take(cfg.batch_size - half)
-                else:
-                    batch = all_queue.take(min(cfg.batch_size, len(train_pairs)))
-                nc.zero_grads(params)
-                loss = None
-                for pair in batch:
-                    h1 = embed(model, tensors_by_id[pair.first])
-                    h2 = embed(model, tensors_by_id[pair.second])
-                    item = contrastive_loss(pair_similarity(model, h1, h2), pair.label, cfg.margin)
-                    loss = item if loss is None else nc.add(loss, item)
-                last_finite = _step_loss(loss, step, last_finite)
-                nc.backward(loss)
-                step_fn()
-                step += 1
-                if step % cfg.mini_test_interval == 0:
-                    metric = validate(step)
-                    if metric > best_metric:
-                        best_metric, best_snap, best_step = metric, _snapshot(model), step
-        final = validate(step)
-    except NonFiniteError as exc:
-        raise DivergenceError(step, last_finite) from exc
-    if final > best_metric:
-        best_metric, best_snap, best_step = final, _snapshot(model), step
-    _restore(model, best_snap)
-    return Checkpoint(model=model, best_metric=best_metric, best_step=best_step, history=history)
+    def pair_loss(pair: GraphPair) -> nc.Tensor:
+        h1 = embed(model, tensors_by_id[pair.first])
+        h2 = embed(model, tensors_by_id[pair.second])
+        return contrastive_loss(pair_similarity(model, h1, h2), pair.label, cfg.margin)
+
+    return _fit(
+        model, cfg, len(train_pairs),
+        next_batch=lambda: [pair for stream, k in draws for pair in islice(stream, k)],
+        item_loss=pair_loss,
+        metric_name="accuracy",
+        metric=lambda: evaluate_pairs(model, val_pairs, tensors_by_id, cfg.delta).accuracy,
+    )
 
 
 # --- checkpoint file format ---
@@ -483,22 +422,29 @@ def load_checkpoint(path: Path, vocab_fingerprint: str | None = None) -> Checkpo
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptFileError(f"{path}: unreadable header: {exc}") from None
     offset += header_len
-    stored_fp = header.get("vocab_fingerprint", "")
+    if not isinstance(header, dict) or not isinstance(header.get("vocab_fingerprint"), str):
+        raise CorruptFileError(f"{path}: header lacks the vocabulary fingerprint")
+    stored_fp = header["vocab_fingerprint"]
     if vocab_fingerprint is not None and vocab_fingerprint != stored_fp:
         raise VocabMismatchError(
             f"{path}: checkpoint built for vocabulary {stored_fp[:12]}..., "
             f"requested {vocab_fingerprint[:12]}...; re-encode the graphs with "
             f"the vocabulary file saved next to this checkpoint"
         )
-    model = build_model(header["arch"], seed=0, vocab_fingerprint=stored_fp)
+    try:
+        model = build_model(header.get("arch"), seed=0, vocab_fingerprint=stored_fp)
+    except ValueError as exc:
+        raise CorruptFileError(f"{path}: bad architecture: {exc}") from None
     params = model.params()
-    specs = header.get("params", [])
-    if [p.name for p in params] != [s["name"] for s in specs]:
+    specs = header.get("params")
+    if not isinstance(specs, list) or [
+        s.get("name") if isinstance(s, dict) else None for s in specs
+    ] != [p.name for p in params]:
         raise CorruptFileError(f"{path}: parameter list does not match the architecture")
     for p, spec in zip(params, specs):
-        if (p.rows, p.cols) != (spec["rows"], spec["cols"]):
+        if (p.rows, p.cols) != (spec.get("rows"), spec.get("cols")):
             raise CorruptFileError(f"{path}: shape mismatch for {p.name}")
-        size = spec["rows"] * spec["cols"] * 8
+        size = p.data.size * 8
         if len(blob) < offset + size:
             raise CorruptFileError(f"{path}: truncated parameter block {p.name}")
         p.data[...] = np.frombuffer(blob, dtype="<f8", count=p.data.size, offset=offset).reshape(
@@ -508,6 +454,8 @@ def load_checkpoint(path: Path, vocab_fingerprint: str | None = None) -> Checkpo
     if offset != len(blob):
         raise CorruptFileError(f"{path}: {len(blob) - offset} trailing bytes")
     best = header.get("best_metric")
+    if best is not None and (not isinstance(best, (int, float)) or isinstance(best, bool)):
+        raise CorruptFileError(f"{path}: best_metric is not a number")
     return Checkpoint(model=model, best_metric=math.nan if best is None else float(best))
 
 

@@ -272,22 +272,6 @@ def scatter_add_rows(a: Tensor, idx: np.ndarray, out_rows: int) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    cols = parts[0].cols
-    for p in parts:
-        if p.cols != cols:
-            raise ShapeMismatchError("concat_rows requires equal column counts")
-    out_data = np.concatenate([p.data for p in parts], axis=0)
-    offsets = np.cumsum([0] + [p.rows for p in parts])
-
-    def backward(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad or p._parents:
-                p.ensure_grad()[...] += g[lo:hi]
-
-    return _make(out_data, tuple(parts), backward)
-
-
 def cosine(u: Tensor, v: Tensor) -> Tensor:
     """Cosine similarity of two single-row tensors, clamped to [-1, 1]."""
     if u.rows != 1 or v.rows != 1 or u.cols != v.cols:
@@ -393,15 +377,3 @@ class Adam:
             v_hat = v / (1.0 - b2**self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-
-def adam_step(
-    opt: Adam,
-    params: list[Parameter] | None = None,
-    lr: float | None = None,
-) -> None:
-    """One optimizer step; parameters and rate live on the Adam state."""
-    if params is not None and params is not opt.params:
-        raise ShapeMismatchError("adam_step must use the optimizer's own parameters")
-    if lr is not None:
-        opt.lr = lr
-    opt.step()

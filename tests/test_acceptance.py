@@ -80,7 +80,7 @@ def test_criterion_1_published_metric_reproduction():
 def _selection_gap(model, tensors) -> float:
     """Margin between the kept and dropped pooling scores."""
     scores = np.sort(alpha_of(model, tensors))[::-1]
-    k = max(1, math.ceil(model.pool.pooling_ratio * len(scores)))
+    k = max(1, math.ceil(model.arch["pooling_ratio"] * len(scores)))
     return math.inf if k >= len(scores) else float(scores[k - 1] - scores[k])
 
 

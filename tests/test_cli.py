@@ -7,7 +7,7 @@ import shutil
 import pytest
 import yaml
 
-from hwgnn import graphdata, learnpipe, synth
+from hwgnn import cli, graphdata, learnpipe, synth
 from hwgnn.cli import build_parser, main
 
 AND_MODULE = """\
@@ -100,11 +100,28 @@ class TestConfigHandling:
         assert main(["graph", "--config", cfg, str(d)]) == 2
         assert "abstraction must be" in capsys.readouterr().err
 
-    def test_bad_train_values_are_config_errors(self, tmp_path, capsys, ht_corpus_dir):
-        cfg = write_config(tmp_path / "c.yml", corpus=str(ht_corpus_dir),
-                           train={"lr": -1.0})
-        assert main(["train-ht", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "bad train config" in capsys.readouterr().err
+    def test_bad_train_values_are_config_errors(self, tmp_path, capsys, ht_corpus_dir,
+                                                monkeypatch):
+        # each bad value must be caught before a single design is extracted
+        monkeypatch.setattr(cli, "_extract_one", lambda *a: pytest.fail("design was read"))
+        cases = [
+            ("train-ht", {"train": {"lr": -1.0}}, "bad train config"),
+            ("train-ht", {"seed": "abc"}, "seed must be"),
+            ("train-ht", {"ratio": "abc"}, "ratio must be"),
+            ("graph", {"jobs": 0}, "jobs must be"),
+            ("train-ht", {"train": {"optimizer": "foo"}}, "optimizer"),
+            ("train-ht", {"train": {"readout": "max"}}, "readout"),
+            ("train-ht", {"train": {"pooling_ratio": 2}}, "pooling_ratio"),
+            ("train-ht", {"train": {"epochs": 1.5}}, "epochs"),
+            ("train-ht", {"train": {"conv_dims": 5}}, "conv_dims"),
+            ("train-ht", {"train": {"activation": "foo"}}, "activation"),
+        ]
+        for command, keys, message in cases:
+            cfg = write_config(tmp_path / "c.yml", corpus=str(ht_corpus_dir), **keys)
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2, keys
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert message in err, err
 
     def test_help_documents_every_config_key(self):
         text = build_parser().format_help()

@@ -15,17 +15,14 @@ from hwgnn.graph2vec import (
     ConvLayer,
     GnnModel,
     Mlp,
-    PoolLayer,
     build_adjacency,
     build_model,
     classify,
     embed,
-    graph_conv,
     neighbor_mean,
     pair_similarity,
     pool_graph,
     readout,
-    score_nodes,
     topk_filter,
 )
 from hwgnn.graphdata import GraphTensors
@@ -90,14 +87,14 @@ class TestGraphConv:
         rng = np.random.default_rng(4)
         layer = ConvLayer(3, 2, "relu", rng, "c")
         X = rng.normal(size=(4, 3))
-        out = graph_conv(nc.constant(X), [], layer)
+        out = layer.forward(nc.constant(X), build_adjacency(4, []))
         expected = np.maximum(X @ layer.W_self.data + layer.bias.data, 0.0)
         assert np.array_equal(out.data, expected)
 
     def test_two_node_identity_exchange(self):
         layer = identity_layer(2)
         X = nc.constant([[1.0, 0.0], [0.0, 1.0]])
-        out = graph_conv(X, [(0, 1)], layer)
+        out = layer.forward(X, build_adjacency(2, [(0, 1)]))
         assert out.data.tolist() == [[1.0, 1.0], [1.0, 1.0]]
 
     def test_bad_activation_rejected(self):
@@ -111,8 +108,9 @@ class TestGraphConv:
         t = random_graph_tensors(rng, n_nodes=8, n_labels=4)
         layer = ConvLayer(4, 3, "tanh", np.random.default_rng(7), "c")
         perm = rng.permutation(8)
-        out = graph_conv(nc.constant(t.X), t.A, layer).data
-        out_p = graph_conv(nc.constant(permuted(t, perm).X), permuted(t, perm).A, layer).data
+        p = permuted(t, perm)
+        out = layer.forward(nc.constant(t.X), build_adjacency(8, t.A)).data
+        out_p = layer.forward(nc.constant(p.X), build_adjacency(8, p.A)).data
         expected = np.zeros_like(out)
         for v in range(8):
             expected[perm[v]] = out[v]
@@ -124,17 +122,15 @@ class TestScoreNodes:
         layer = ConvLayer(3, 1, "identity", np.random.default_rng(0), "s")
         layer.W_self.data[...] = 0.0
         layer.W_neigh.data[...] = 0.0
-        pool = PoolLayer(layer, 0.5)
         t = random_graph_tensors(np.random.default_rng(1), n_nodes=5, n_labels=3)
-        alpha = score_nodes(nc.constant(t.X), t.A, pool)
+        alpha = layer.forward(nc.constant(t.X), build_adjacency(5, t.A))
         assert alpha.data.reshape(-1).tolist() == [0.0] * 5
 
     def test_edgeless_scores_depend_on_own_features_only(self):
         rng = np.random.default_rng(2)
         layer = ConvLayer(3, 1, "identity", rng, "s")
-        pool = PoolLayer(layer, 0.5)
         X = rng.normal(size=(4, 3))
-        alpha = score_nodes(nc.constant(X), [], pool)
+        alpha = layer.forward(nc.constant(X), build_adjacency(4, []))
         expected = X @ layer.W_self.data + layer.bias.data
         assert np.array_equal(alpha.data, expected)
 
@@ -143,8 +139,7 @@ class TestScoreNodes:
         layer.W_self.data[...] = [[1.0], [0.0]]
         layer.W_neigh.data[...] = [[0.0], [2.0]]
         layer.bias.data[...] = 0.0
-        pool = PoolLayer(layer, 0.5)
-        alpha = score_nodes(nc.constant([[1.0, 0.0], [0.0, 1.0]]), [(0, 1)], pool)
+        alpha = layer.forward(nc.constant([[1.0, 0.0], [0.0, 1.0]]), build_adjacency(2, [(0, 1)]))
         # node 0: own [1,0]@[1,0] + neigh [0,1]@[0,2] = 1 + 2 = 3
         # node 1: own [0,1]@[1,0] + neigh [1,0]@[0,2] = 0
         assert alpha.data.reshape(-1).tolist() == [3.0, 0.0]
@@ -198,40 +193,15 @@ class TestPoolGraph:
     def test_zero_scores_zero_features(self):
         X = nc.constant(RNG.normal(size=(3, 2)))
         alpha = nc.constant(np.zeros((3, 1)))
-        X_pool, _ = pool_graph(X, [(0, 1)], alpha, [0, 1, 2])
+        X_pool = pool_graph(X, alpha, [0, 1, 2])
         assert np.array_equal(X_pool.data, np.zeros((3, 2)))
-
-    def test_induced_edges_renumbered(self):
-        X = nc.constant(np.ones((4, 2)))
-        alpha = nc.constant(np.ones((4, 1)))
-        A = [(0, 2), (0, 1), (1, 3), (3, 2)]
-        _, A_pool = pool_graph(X, A, alpha, [0, 2])
-        assert A_pool == [(0, 1)]
 
     def test_rows_scaled_by_tanh_alpha(self):
         X = nc.constant([[2.0, 4.0], [1.0, 1.0]])
         alpha = nc.constant([[0.5], [-1.0]])
-        X_pool, _ = pool_graph(X, [], alpha, [0, 1])
+        X_pool = pool_graph(X, alpha, [0, 1])
         expected = np.array([[2.0, 4.0], [1.0, 1.0]]) * np.tanh([[0.5], [-1.0]])
         assert np.allclose(X_pool.data, expected)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=10**6))
-    def test_induced_subgraph_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 21))
-        t = random_graph_tensors(rng, n_nodes=n, n_labels=3)
-        keep = sorted(
-            rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
-        )
-        alpha = nc.constant(rng.normal(size=(n, 1)))
-        _, A_pool = pool_graph(nc.constant(t.X), t.A, alpha, keep)
-        expected = [
-            (keep.index(s), keep.index(d))
-            for s, d in t.A
-            if s in keep and d in keep
-        ]
-        assert A_pool == expected
 
 
 class TestReadout:
@@ -265,10 +235,10 @@ def tiny_model(**overrides):
 
 def alpha_of(model, t):
     X = nc.constant(t.X)
-    adj = build_adjacency(X.rows, t.A, model.directed_messages)
+    adj = build_adjacency(X.rows, t.A, model.arch["directed_messages"])
     for layer in model.conv_stack:
         X = layer.forward(X, adj)
-    return model.pool.scorer.forward(X, adj).data.reshape(-1)
+    return model.scorer.forward(X, adj).data.reshape(-1)
 
 
 class TestEmbed:
@@ -290,9 +260,9 @@ class TestEmbed:
         model.conv_stack[0].W_self.data[...] = np.eye(2)
         model.conv_stack[0].W_neigh.data[...] = np.eye(2)
         model.conv_stack[0].bias.data[...] = 0.0
-        model.pool.scorer.W_self.data[...] = [[1.0], [0.0]]
-        model.pool.scorer.W_neigh.data[...] = 0.0
-        model.pool.scorer.bias.data[...] = 0.0
+        model.scorer.W_self.data[...] = [[1.0], [0.0]]
+        model.scorer.W_neigh.data[...] = 0.0
+        model.scorer.bias.data[...] = 0.0
         t = GraphTensors(X=np.eye(2), A=[(0, 1)], graph_id="hand")
         # conv: both rows become [1,1]; alpha = [1,1]; k=1 keeps node 0;
         # gated row = [1,1]*tanh(1); sum readout = that row
@@ -383,7 +353,7 @@ class TestBuildModel:
         model = build_model({"in_dim": 7, "conv_dims": [10, 6]}, seed=0)
         shapes = [layer.W_self.data.shape for layer in model.conv_stack]
         assert shapes == [(7, 10), (10, 6)]
-        assert model.pool.scorer.W_self.data.shape == (6, 1)
+        assert model.scorer.W_self.data.shape == (6, 1)
         assert model.mlp.weights[0].data.shape == (6, 32)
 
     def test_siamese_model_has_no_mlp(self):

@@ -319,6 +319,11 @@ class TestCache:
             normalize(other), self.vocab
         )
 
+    def test_key_tracks_design_name(self):
+        twin = HWGraph(kind=self.g.kind, nodes=list(self.g.nodes),
+                       edges=list(self.g.edges), design_name=self.g.design_name + "_twin")
+        assert cache_key(self.g, self.vocab) != cache_key(twin, self.vocab)
+
     def test_filename_layout(self, tmp_path):
         key = cache_key(self.g, self.vocab)
         path = cache_put(tmp_path, key, encode(self.g, self.vocab))

@@ -141,6 +141,14 @@ class TestTrainConfig:
             {"delta": 1.0},
             {"delta": -1.0},
             {"mini_test_interval": 0},
+            {"optimizer": "foo"},
+            {"readout": "max"},
+            {"pooling_ratio": 2},
+            {"epochs": 1.5},
+            {"conv_dims": 5},
+            {"activation": "foo"},
+            {"mlp_hidden": [4, 0]},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -715,6 +723,25 @@ class TestCheckpointFile:
 
         with pytest.raises(CorruptFileError, match="shape mismatch"):
             self.load_raw(tmp_path, reheader(blob, stretch))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h: h.pop("arch"),
+            lambda h: h["arch"].update(readout="max"),
+            lambda h: h["arch"].update(conv_dims=5),
+            lambda h: h["arch"].update(depth=3),
+            lambda h: h["arch"].update(in_dim=None),
+            lambda h: h["params"][0].pop("rows"),
+            lambda h: h.clear(),
+        ],
+        ids=["no-arch", "readout-max", "conv-dims-scalar", "unknown-arch-key",
+             "null-in-dim", "spec-without-rows", "empty-header"],
+    )
+    def test_malformed_header_is_corrupt(self, tmp_path, mutate):
+        blob = self.checkpoint_bytes(tmp_path)
+        with pytest.raises(CorruptFileError):
+            self.load_raw(tmp_path, reheader(blob, mutate))
 
 
 class TestExportEmbeddings:

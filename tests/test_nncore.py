@@ -11,10 +11,8 @@ from hwgnn.nncore import (
     Adam,
     Parameter,
     Tensor,
-    adam_step,
     add,
     backward,
-    concat_rows,
     constant,
     cosine,
     gather_rows,
@@ -95,10 +93,6 @@ class TestForward:
         out = scatter_add_rows(constant([[1.0], [2.0], [4.0]]), np.array([1, 1, 0]), 3)
         assert out.data.tolist() == [[4.0], [3.0], [0.0]]
 
-    def test_concat_rows(self):
-        out = concat_rows([constant([[1.0, 2.0]]), constant([[3.0, 4.0]])])
-        assert out.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_finite_outputs_enforced(self):
         with pytest.raises(NonFiniteError):
@@ -162,10 +156,6 @@ class TestShapeErrors:
     def test_scatter_range(self):
         with pytest.raises(ShapeMismatchError):
             scatter_add_rows(constant(np.ones((2, 1))), np.array([0, 5]), 2)
-
-    def test_concat_columns(self):
-        with pytest.raises(ShapeMismatchError):
-            concat_rows([constant(np.ones((1, 2))), constant(np.ones((1, 3)))])
 
     def test_three_dims_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -284,12 +274,6 @@ class TestGradientOracle:
         w = RNG.normal(size=(4, 3))
         fd_gradcheck(lambda: weighted_sum(scatter_add_rows(a, idx, 4), w), [a])
 
-    def test_concat(self):
-        a = Parameter(RNG.normal(size=(2, 3)), "a")
-        b = Parameter(RNG.normal(size=(1, 3)), "b")
-        w = RNG.normal(size=(3, 3))
-        fd_gradcheck(lambda: weighted_sum(concat_rows([a, b]), w), [a, b])
-
     def test_cosine(self):
         u = Parameter(RNG.normal(size=(1, 5)) + 0.3, "u")
         v = Parameter(RNG.normal(size=(1, 5)) - 0.2, "v")
@@ -347,20 +331,6 @@ class TestOptimizers:
         assert opt.t == 3
         # constant gradient keeps each bias-corrected step at ~lr
         assert np.allclose(w.data, [[-0.3]], atol=1e-6)
-
-    def test_adam_step_wrapper_overrides_lr(self):
-        w = Parameter([[0.0]], "w")
-        opt = Adam([w], lr=1.0)
-        w.grad = np.array([[1.0]])
-        adam_step(opt, lr=0.5)
-        assert np.allclose(w.data, [[-0.5]], atol=1e-6)
-
-    def test_adam_step_rejects_foreign_params(self):
-        w = Parameter([[0.0]], "w")
-        other = Parameter([[0.0]], "other")
-        opt = Adam([w])
-        with pytest.raises(ShapeMismatchError):
-            adam_step(opt, params=[other])
 
 
 class TestProperties:
