@@ -18,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from . import graphdata, learnpipe
-from .errors import ConfigError, HwgnnError
+from .errors import ConfigError, HwgnnError, UnknownCircuitError
 from .graph2vec import embed
 from .hwgraph import AST, DFG, GLN, RTL, hw2graph, load_design_dir, write_graph
 from .learnpipe import TrainConfig
@@ -106,6 +106,8 @@ class Run:
         ratio = self.cfg.get("ratio", 0.2)
         if not isinstance(ratio, (int, float)) or isinstance(ratio, bool):
             raise ConfigError(f"ratio must be a number, got {ratio!r}")
+        if not 0.0 < ratio < 1.0:
+            raise ConfigError(f"ratio must be in (0, 1), got {ratio!r}")
         self.ratio = float(ratio)
 
     def _pick(self, flag: str, key: str, default):
@@ -312,7 +314,10 @@ def _split_ids(run: Run, ids: list[str], manifest: dict) -> graphdata.DatasetSpl
                     f"{name!r} has none"
                 )
             circuit_of[name] = c
-        return graphdata.leave_one_circuit_out(ids, circuit_of, run.leave_out)
+        try:
+            return graphdata.leave_one_circuit_out(ids, circuit_of, run.leave_out)
+        except UnknownCircuitError as exc:
+            raise ConfigError(str(exc)) from None
     return graphdata.split(ids, run.ratio, run.seed)
 
 
@@ -332,8 +337,8 @@ def _save_artifacts(run: Run, ckpt, vocab, report) -> None:
 def cmd_train_ht(run: Run) -> int:
     cfg = run.train_config()
     designs, manifest, labels = _labeled_designs(run, "label")
+    part = _split_ids(run, sorted(p.name for p in designs), manifest)
     tensors, vocab = _encode_corpus(run, designs, labels)
-    part = _split_ids(run, sorted(tensors), manifest)
     ckpt = learnpipe.train_graph_classifier(
         [tensors[i] for i in part.train],
         [tensors[i] for i in part.test],
@@ -352,8 +357,8 @@ def cmd_train_ht(run: Run) -> int:
 def cmd_train_ip(run: Run) -> int:
     cfg = run.train_config()
     designs, manifest, category_of = _labeled_designs(run, "category")
+    part = _split_ids(run, sorted(p.name for p in designs), manifest)
     tensors, vocab = _encode_corpus(run, designs)
-    part = _split_ids(run, sorted(tensors), manifest)
     train_pairs = graphdata.make_pairs(part.train, category_of)
     test_pairs = graphdata.make_pairs(part.test, category_of)
     ckpt = learnpipe.train_pair_model(
@@ -409,11 +414,11 @@ def cmd_infer_ht(run: Run) -> int:
 
 
 def cmd_infer_ip(run: Run) -> int:
+    delta = run.train_config().delta
     model, vocab = _load_model_and_vocab(run)
     a, b = Path(run.args.design_a), Path(run.args.design_b)
     ta, tb = _encode_inputs(run, [a, b], vocab)
     sim = learnpipe.pair_similarity_value(model, ta, tb)
-    delta = run.train_config().delta
     verdict = learnpipe.PIRACY if sim > delta else learnpipe.NON_PIRACY
     print(f"{a.name}\t{b.name}\tsimilarity={sim:.6f}\tverdict={verdict}")
     return 0

@@ -55,14 +55,6 @@ def build_adjacency(n: int, edges, directed: bool = False) -> GraphAdj:
     return GraphAdj(n, np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp), inv)
 
 
-def neighbor_mean(X: nc.Tensor, adj: GraphAdj) -> nc.Tensor:
-    if X.rows != adj.n:
-        raise ShapeMismatchError(f"{X.rows} feature rows for {adj.n} nodes")
-    gathered = nc.gather_rows(X, adj.msg_src)
-    summed = nc.scatter_add_rows(gathered, adj.msg_dst, adj.n)
-    return nc.row_scale(summed, nc.constant(adj.inv_deg))
-
-
 class ConvLayer:
     """h'_v = act(W_self h_v + W_neigh mean_{u in N(v)} h_u + bias)."""
 
@@ -79,13 +71,7 @@ class ConvLayer:
         return [self.W_self, self.W_neigh, self.bias]
 
     def forward(self, X: nc.Tensor, adj: GraphAdj) -> nc.Tensor:
-        agg = neighbor_mean(X, adj)
-        pre = nc.add(nc.add(nc.matmul(X, self.W_self), nc.matmul(agg, self.W_neigh)), self.bias)
-        if self.activation == "relu":
-            return nc.relu(pre)
-        if self.activation == "tanh":
-            return nc.tanh_(pre)
-        return pre
+        return nc.graph_conv(X, self.W_self, self.W_neigh, self.bias, adj, self.activation)
 
 
 class Mlp:
@@ -102,10 +88,9 @@ class Mlp:
         return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def forward(self, x: nc.Tensor) -> nc.Tensor:
+        last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            x = nc.add(nc.matmul(x, W), b)
-            if i < len(self.weights) - 1:
-                x = nc.relu(x)
+            x = nc.dense(x, W, b, "identity" if i == last else "relu")
         return x
 
 
@@ -199,35 +184,27 @@ def topk_filter(alpha, pr: float, n: int) -> list[int]:
     if n < 1:
         raise EmptyPoolError("cannot pool an empty graph")
     k = max(1, math.ceil(pr * n))
-    order = sorted(range(n), key=lambda i: (-values[i], i))
-    return sorted(order[:k])
+    return np.sort(np.lexsort((np.arange(n), -values))[:k]).tolist()
 
 
-def pool_graph(X_prop: nc.Tensor, alpha: nc.Tensor, P: list[int]) -> nc.Tensor:
-    """Gate rows by tanh(score) and keep rows P."""
-    gated = nc.row_scale(X_prop, nc.tanh_(alpha))
-    return nc.gather_rows(gated, np.asarray(P, dtype=np.intp))
-
-
-def readout(X_pool: nc.Tensor, mode: str) -> nc.Tensor:
-    if X_pool.rows == 0:
+def pool_graph(X_prop: nc.Tensor, alpha: nc.Tensor, P: list[int],
+               readout: str = "sum") -> nc.Tensor:
+    """Gate rows by tanh(score), keep rows P, and sum or average them."""
+    keep = np.asarray(P, dtype=np.intp)
+    if keep.size == 0:
         raise EmptyPoolError("readout over zero rows")
-    if mode == "sum":
-        return nc.sum_rows(X_pool)
-    if mode == "mean":
-        return nc.mean_rows(X_pool)
-    raise ValueError(f"readout mode must be sum or mean, got {mode!r}")
+    return nc.gate_pool(X_prop, alpha, keep, readout)
 
 
 def embed(model: GnnModel, tensors) -> nc.Tensor:
-    """conv stack -> score -> top-k -> pool -> readout; one row out."""
+    """conv stack -> score -> top-k -> gated pool and readout; one row out."""
     X = nc.constant(tensors.X)
     adj = build_adjacency(X.rows, tensors.A, model.arch["directed_messages"])
     for layer in model.conv_stack:
         X = layer.forward(X, adj)
     alpha = model.scorer.forward(X, adj)
     P = topk_filter(alpha, model.arch["pooling_ratio"], X.rows)
-    return readout(pool_graph(X, alpha, P), model.arch["readout"])
+    return pool_graph(X, alpha, P, model.arch["readout"])
 
 
 def classify(model: GnnModel, h_g: nc.Tensor) -> nc.Tensor:

@@ -195,6 +195,13 @@ def cache_put(root: Path, key: str, tensors: GraphTensors) -> Path:
     return path
 
 
+_SIZE_KEYS = ("rows", "cols", "edges")
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def cache_get(root: Path, key: str) -> GraphTensors | None:
     """Stored tensors for key, or None on a miss.
 
@@ -213,9 +220,17 @@ def cache_get(root: Path, key: str) -> GraphTensors | None:
     offset = len(_CACHE_MAGIC)
     (header_len,) = struct.unpack_from("<Q", payload, offset)
     offset += 8
-    header = json.loads(payload[offset : offset + header_len].decode("utf-8"))
+    if header_len > len(payload) - offset:
+        raise CacheCorruptError(f"{path}: header runs past the end of the entry")
+    try:
+        header = json.loads(payload[offset : offset + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CacheCorruptError(f"{path}: unreadable header: {exc}") from None
     offset += header_len
-    rows, cols, n_edges = header["rows"], header["cols"], header["edges"]
+    if not (isinstance(header, dict) and isinstance(header.get("graph_id"), str)
+            and "label" in header and all(_is_count(header.get(k)) for k in _SIZE_KEYS)):
+        raise CacheCorruptError(f"{path}: malformed header")
+    rows, cols, n_edges = (header[k] for k in _SIZE_KEYS)
     x_size = rows * cols * 8
     expected = offset + x_size + n_edges * 16
     if len(payload) != expected:

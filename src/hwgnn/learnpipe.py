@@ -1,4 +1,4 @@
-"""Losses, trainers, decision rules, metrics, checkpoints, and exports."""
+"""Trainers, decision rules, metrics, checkpoints, and exports."""
 from __future__ import annotations
 
 import copy
@@ -19,19 +19,17 @@ from .errors import (
     CorruptFileError,
     DivergenceError,
     NonFiniteError,
-    ShapeMismatchError,
     VersionMismatchError,
     VocabMismatchError,
 )
 from .graph2vec import GnnModel, build_model, check_arch, classify, embed, pair_similarity
 from .graphdata import GraphPair, GraphTensors
+from .nncore import contrastive_loss, cross_entropy
 
 TROJAN = "Trojan"
 NON_TROJAN = "Non_Trojan"
 PIRACY = "Piracy"
 NON_PIRACY = "Non_Piracy"
-
-_LOG_EPS = 1e-12
 
 
 @dataclass
@@ -102,27 +100,6 @@ class Checkpoint:
     best_metric: float
     best_step: int = 0
     history: list = field(default_factory=list)
-
-
-# --- losses ---
-
-def cross_entropy(y_hat: nc.Tensor, Y: np.ndarray) -> nc.Tensor:
-    """Summed negative log-likelihood over the batch rows."""
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape != y_hat.shape:
-        raise ShapeMismatchError(f"targets {Y.shape} vs predictions {y_hat.shape}")
-    shifted = nc.add(y_hat, nc.constant(np.full(y_hat.shape, _LOG_EPS)))
-    picked = nc.hadamard(nc.constant(Y), nc.log_(shifted))
-    return nc.scale(nc.sum_all(picked), -1.0)
-
-
-def contrastive_loss(y_hat: nc.Tensor, y: int, margin: float = 0.5) -> nc.Tensor:
-    """+1 pairs pay 1 - similarity; -1 pairs pay only above the margin."""
-    if y not in (1, -1):
-        raise BadLabelError(f"pair label must be +1 or -1, got {y!r}")
-    if y == 1:
-        return nc.add(nc.constant([[1.0]]), nc.scale(y_hat, -1.0))
-    return nc.relu(nc.add(y_hat, nc.constant([[-margin]])))
 
 
 # --- decision rules ---

@@ -1,17 +1,21 @@
 """Dense float64 tensors with reverse-mode gradients.
 
-Everything is a 2-D matrix; vectors travel as 1xd or nx1.  Each operation
-checks shapes, verifies outputs are finite, and records a backward closure
-on the tape.  Aggregation over graph edges uses gather/scatter primitives
-instead of dense adjacency products.
+Everything is a 2-D matrix; vectors travel as 1xd or nx1.  Each model
+layer is one operation with its hand-written backward beside its forward:
+graph convolution, dense layer, gated top-k pooling with readout, and the
+two losses, plus the row softmax, the cosine and the sum that joins a
+batch's losses.  Each operation checks shapes, verifies its output is
+finite, and records a backward closure on the tape.  Neighbour means run
+over per-edge message index arrays, never a dense adjacency matrix.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeMismatchError, ZeroVectorError
+from .errors import BadLabelError, NonFiniteError, ShapeMismatchError, ZeroVectorError
 
 _EPS_NORM = 1e-12
+_LOG_EPS = 1e-12
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -91,21 +95,7 @@ def constant(data) -> Tensor:
     return Tensor(data)
 
 
-# --- primitive operations ---
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise ShapeMismatchError(f"matmul {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
-            a.ensure_grad()[...] += g @ b.data.T
-        if b.requires_grad or b._parents:
-            b.ensure_grad()[...] += a.data.T @ g
-
-    return _make(out_data, (a, b), backward)
-
+# --- operations ---
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; b may be a single row broadcast over a's rows."""
@@ -114,76 +104,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
+        if _tracked(a):
             a.ensure_grad()[...] += g
-        if b.requires_grad or b._parents:
+        if _tracked(b):
             gb = g if b.shape == a.shape else g.sum(axis=0, keepdims=True)
             b.ensure_grad()[...] += gb
 
     return _make(out_data, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"hadamard {a.shape} * {b.shape}")
-    out_data = a.data * b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
-            a.ensure_grad()[...] += g * b.data
-        if b.requires_grad or b._parents:
-            b.ensure_grad()[...] += g * a.data
-
-    return _make(out_data, (a, b), backward)
-
-
-def row_scale(a: Tensor, s: Tensor) -> Tensor:
-    """Scale row i of a by s[i, 0]."""
-    if s.cols != 1 or s.rows != a.rows:
-        raise ShapeMismatchError(f"row_scale {a.shape} by {s.shape}")
-    out_data = a.data * s.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
-            a.ensure_grad()[...] += g * s.data
-        if s.requires_grad or s._parents:
-            s.ensure_grad()[...] += (g * a.data).sum(axis=1, keepdims=True)
-
-    return _make(out_data, (a, s), backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out_data = a.data * c
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
-            a.ensure_grad()[...] += g * c
-
-    return _make(out_data, (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
-            a.ensure_grad()[...] += g * (a.data > 0.0)
-
-    return _make(out_data, (a,), backward)
-
-
-def tanh_(a: Tensor) -> Tensor:
-    out_data = np.tanh(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
-            a.ensure_grad()[...] += g * (1.0 - out_data * out_data)
-
-    return _make(out_data, (a,), backward)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -192,82 +119,9 @@ def softmax_rows(a: Tensor) -> Tensor:
     out_data = e / e.sum(axis=1, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
+        if _tracked(a):
             dot = (g * out_data).sum(axis=1, keepdims=True)
             a.ensure_grad()[...] += (g - dot) * out_data
-
-    return _make(out_data, (a,), backward)
-
-
-def log_(a: Tensor) -> Tensor:
-    if (a.data <= 0.0).any():
-        raise NonFiniteError("log of non-positive value")
-    out_data = np.log(a.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
-            a.ensure_grad()[...] += g / a.data
-
-    return _make(out_data, (a,), backward)
-
-
-def sum_rows(a: Tensor) -> Tensor:
-    out_data = a.data.sum(axis=0, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
-            a.ensure_grad()[...] += np.broadcast_to(g, a.shape)
-
-    return _make(out_data, (a,), backward)
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    n = a.rows
-    out_data = a.data.mean(axis=0, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
-            a.ensure_grad()[...] += np.broadcast_to(g, a.shape) / n
-
-    return _make(out_data, (a,), backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out_data = np.array([[a.data.sum()]])
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
-            a.ensure_grad()[...] += g[0, 0]
-
-    return _make(out_data, (a,), backward)
-
-
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
-        raise ShapeMismatchError(f"gather index out of range for {a.rows} rows")
-    out_data = a.data[idx]
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
-            np.add.at(a.ensure_grad(), idx, g)
-
-    return _make(out_data, (a,), backward)
-
-
-def scatter_add_rows(a: Tensor, idx: np.ndarray, out_rows: int) -> Tensor:
-    """out[idx[i]] += a[i]; rows never indexed stay zero."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if idx.size != a.rows:
-        raise ShapeMismatchError(f"scatter needs one index per row, got {idx.size}/{a.rows}")
-    if idx.size and (idx.min() < 0 or idx.max() >= out_rows):
-        raise ShapeMismatchError(f"scatter index out of range for {out_rows} rows")
-    out_data = np.zeros((out_rows, a.cols))
-    np.add.at(out_data, idx, a.data)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad or a._parents:
-            a.ensure_grad()[...] += g[idx]
 
     return _make(out_data, (a,), backward)
 
@@ -291,12 +145,162 @@ def cosine(u: Tensor, v: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         # gradient of the unclamped ratio; the clamp only trims rounding spill
         gs = g[0, 0]
-        if u.requires_grad or u._parents:
+        if _tracked(u):
             u.ensure_grad()[...] += gs * (v.data / (nu * nv) - raw * u.data / (nu * nu))
-        if v.requires_grad or v._parents:
+        if _tracked(v):
             v.ensure_grad()[...] += gs * (u.data / (nu * nv) - raw * v.data / (nv * nv))
 
     return _make(out_data, (u, v), backward)
+
+
+# --- layer operations: one tape node per layer, backward beside forward ---
+
+def _act(pre: np.ndarray, activation: str) -> np.ndarray:
+    if activation == "relu":
+        return np.maximum(pre, 0.0)
+    if activation == "tanh":
+        return np.tanh(pre)
+    if activation == "identity":
+        return pre
+    raise ValueError(f"activation must be relu, tanh or identity, got {activation!r}")
+
+
+def _act_grad(g: np.ndarray, pre: np.ndarray, out: np.ndarray, activation: str) -> np.ndarray:
+    if activation == "relu":
+        return g * (pre > 0.0)
+    if activation == "tanh":
+        return g * (1.0 - out * out)
+    return g
+
+
+def _check_linear(x: Tensor, W: Tensor, b: Tensor) -> None:
+    if W.rows != x.cols or b.shape != (1, W.cols):
+        raise ShapeMismatchError(f"linear {x.shape} x {W.shape} + {b.shape}")
+
+
+def _scatter_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """n zero rows with rows[i] added into row idx[i], in order of i."""
+    d = rows.shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).reshape(-1)
+    return np.bincount(flat, weights=rows.reshape(-1), minlength=n * d).reshape(n, d)
+
+
+def graph_conv(X: Tensor, W_self: Tensor, W_neigh: Tensor, bias: Tensor, adj,
+               activation: str) -> Tensor:
+    """act(X W_self + M W_neigh + bias), where M[v] is the mean of X over
+    v's neighbours: inv_deg[v] times the sum of X[msg_src[i]] over the
+    messages i with msg_dst[i] == v.  ``adj`` carries n, msg_src, msg_dst
+    and the n x 1 inv_deg (see ``graph2vec.build_adjacency``)."""
+    if X.rows != adj.n:
+        raise ShapeMismatchError(f"{X.rows} feature rows for {adj.n} nodes")
+    _check_linear(X, W_self, bias)
+    if W_neigh.shape != W_self.shape:
+        raise ShapeMismatchError(f"W_neigh {W_neigh.shape} vs W_self {W_self.shape}")
+    src, dst, inv_deg = adj.msg_src, adj.msg_dst, adj.inv_deg
+    if src.size and max(src.max(), dst.max()) >= adj.n:
+        raise ShapeMismatchError(f"message index out of range for {adj.n} nodes")
+    with np.errstate(over="ignore", invalid="ignore"):  # _make reports blow-ups
+        mean = _scatter_rows(X.data[src], dst, adj.n) * inv_deg
+        pre = X.data @ W_self.data + mean @ W_neigh.data + bias.data
+        out_data = _act(pre, activation)
+
+    def backward(g: np.ndarray) -> None:
+        gpre = _act_grad(g, pre, out_data, activation)
+        if _tracked(W_self):
+            W_self.ensure_grad()[...] += X.data.T @ gpre
+        if _tracked(W_neigh):
+            W_neigh.ensure_grad()[...] += mean.T @ gpre
+        if _tracked(bias):
+            bias.ensure_grad()[...] += gpre.sum(axis=0, keepdims=True)
+        if _tracked(X):
+            # the mean's transpose: message i sends g_mean[dst[i]] back to
+            # src[i], added one message at a time onto the gradient so far
+            g_mean = (gpre @ W_neigh.data.T) * inv_deg
+            rows = np.vstack((X.ensure_grad() + gpre @ W_self.data.T, g_mean[dst]))
+            idx = np.concatenate((np.arange(adj.n), src))
+            X.grad[...] = _scatter_rows(rows, idx, adj.n)
+
+    return _make(out_data, (X, W_self, W_neigh, bias), backward)
+
+
+def dense(x: Tensor, W: Tensor, b: Tensor, activation: str = "identity") -> Tensor:
+    """act(x W + b), the bias row broadcast over x's rows."""
+    _check_linear(x, W, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # _make reports blow-ups
+        pre = x.data @ W.data + b.data
+        out_data = _act(pre, activation)
+
+    def backward(g: np.ndarray) -> None:
+        gpre = _act_grad(g, pre, out_data, activation)
+        if _tracked(W):
+            W.ensure_grad()[...] += x.data.T @ gpre
+        if _tracked(b):
+            b.ensure_grad()[...] += gpre.sum(axis=0, keepdims=True)
+        if _tracked(x):
+            x.ensure_grad()[...] += gpre @ W.data.T
+
+    return _make(out_data, (x, W, b), backward)
+
+
+def gate_pool(X: Tensor, alpha: Tensor, keep: np.ndarray, readout: str) -> Tensor:
+    """One row: the sum or mean over the rows ``keep`` (distinct indices)
+    of X, each scaled by tanh of its score in the n x 1 ``alpha``."""
+    if alpha.shape != (X.rows, 1):
+        raise ShapeMismatchError(f"{alpha.shape} scores for {X.rows} rows")
+    if keep.size and (keep.min() < 0 or keep.max() >= X.rows):
+        raise ShapeMismatchError(f"pooled index out of range for {X.rows} rows")
+    if readout not in ("sum", "mean"):
+        raise ValueError(f"readout mode must be sum or mean, got {readout!r}")
+    gate = np.tanh(alpha.data[keep])
+    rows = X.data[keep] * gate
+    out_data = rows.sum(axis=0, keepdims=True) if readout == "sum" else rows.mean(
+        axis=0, keepdims=True)
+
+    def backward(g: np.ndarray) -> None:
+        g_rows = np.broadcast_to(g if readout == "sum" else g / keep.size, rows.shape)
+        if _tracked(X):
+            X.ensure_grad()[keep] += g_rows * gate
+        if _tracked(alpha):
+            g_gate = (g_rows * X.data[keep]).sum(axis=1, keepdims=True)
+            alpha.ensure_grad()[keep] += g_gate * (1.0 - gate * gate)
+
+    return _make(out_data, (X, alpha), backward)
+
+
+def cross_entropy(y_hat: Tensor, Y: np.ndarray) -> Tensor:
+    """Summed negative log-likelihood of one-hot targets Y under the
+    class probabilities y_hat, one row per item."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.shape != y_hat.shape:
+        raise ShapeMismatchError(f"targets {Y.shape} vs predictions {y_hat.shape}")
+    shifted = y_hat.data + _LOG_EPS
+    if (shifted <= 0.0).any():
+        raise NonFiniteError("log of non-positive value")
+    out_data = np.array([[-(Y * np.log(shifted)).sum()]])
+
+    def backward(g: np.ndarray) -> None:
+        if _tracked(y_hat):
+            y_hat.ensure_grad()[...] += (-g[0, 0] * Y) / shifted
+
+    return _make(out_data, (y_hat,), backward)
+
+
+def contrastive_loss(y_hat: Tensor, y: int, margin: float = 0.5) -> Tensor:
+    """For a similarity y_hat: +1 pairs pay 1 - y_hat, -1 pairs pay only
+    the part of y_hat above the margin."""
+    if y not in (1, -1):
+        raise BadLabelError(f"pair label must be +1 or -1, got {y!r}")
+    if y_hat.shape != (1, 1):
+        raise ShapeMismatchError(f"contrastive loss of shape {y_hat.shape}")
+    s = y_hat.data[0, 0]
+    slope = -1.0 if y == 1 else float(s - margin > 0.0)
+    out_data = np.array([[1.0 - s if y == 1 else max(s - margin, 0.0)]])
+
+    def backward(g: np.ndarray) -> None:
+        if _tracked(y_hat):
+            y_hat.ensure_grad()[...] += g * slope
+
+    return _make(out_data, (y_hat,), backward)
 
 
 # --- tape replay ---

@@ -104,6 +104,7 @@ class TestConfigHandling:
                                                 monkeypatch):
         # each bad value must be caught before a single design is extracted
         monkeypatch.setattr(cli, "_extract_one", lambda *a: pytest.fail("design was read"))
+        designs = sorted(p for p in ht_corpus_dir.iterdir() if p.is_dir())
         cases = [
             ("train-ht", {"train": {"lr": -1.0}}, "bad train config"),
             ("train-ht", {"seed": "abc"}, "seed must be"),
@@ -115,10 +116,18 @@ class TestConfigHandling:
             ("train-ht", {"train": {"epochs": 1.5}}, "epochs"),
             ("train-ht", {"train": {"conv_dims": 5}}, "conv_dims"),
             ("train-ht", {"train": {"activation": "foo"}}, "activation"),
+            ("train-ht", {"ratio": 1.5}, "ratio must be in (0, 1)"),
+            ("train-ip", {"ratio": 1.5}, "ratio must be in (0, 1)"),
+            ("train-ht", {"leave_out": "cpu"}, "no item belongs to circuit 'cpu'"),
+            ("train-ht", {"flags": ["--leave-out", "cpu"]}, "no item belongs to circuit 'cpu'"),
+            ("infer-ip", {"train": {"delta": 2.0}, "flags": [str(p) for p in designs[:2]]},
+             "bad train config"),
         ]
         for command, keys, message in cases:
+            flags = keys.pop("flags", [])
             cfg = write_config(tmp_path / "c.yml", corpus=str(ht_corpus_dir), **keys)
-            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2, keys
+            argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]
+            assert main(argv) == 2, keys
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert message in err, err
@@ -315,7 +324,7 @@ class TestTrainHt:
         cfg = write_config(tmp_path / "c.yml", corpus=str(ht_corpus_dir),
                            train={"epochs": 1})
         assert main(["train-ht", "--config", cfg, "--leave-out", "cpu",
-                     "--out", str(tmp_path / "o")]) == 1
+                     "--out", str(tmp_path / "o")]) == 2
         assert "no item belongs to circuit 'cpu'" in capsys.readouterr().err
 
     def test_leave_out_needs_circuit_fields(self, tmp_path, capsys):

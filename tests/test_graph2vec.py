@@ -19,16 +19,16 @@ from hwgnn.graph2vec import (
     build_model,
     classify,
     embed,
-    neighbor_mean,
     pair_similarity,
     pool_graph,
-    readout,
     topk_filter,
 )
 from hwgnn.graphdata import GraphTensors
+from hwgnn.learnpipe import contrastive_loss, cross_entropy
 from hwgnn.synth import random_graph_tensors
 
 RNG = np.random.default_rng(33)
+ONE = 20.0  # np.tanh(20.0) == 1.0 exactly: a pooling gate that passes rows unchanged
 
 
 def identity_layer(dim, rng_seed=0):
@@ -37,6 +37,13 @@ def identity_layer(dim, rng_seed=0):
     layer.W_neigh.data[...] = np.eye(dim)
     layer.bias.data[...] = 0.0
     return layer
+
+
+def neighbor_mean(X, adj):
+    """A conv layer reduced to its neighbour mean: no self term, no bias."""
+    layer = identity_layer(X.cols)
+    layer.W_self.data[...] = 0.0
+    return layer.forward(X, adj)
 
 
 def permuted(t: GraphTensors, perm) -> GraphTensors:
@@ -188,43 +195,60 @@ class TestTopK:
         assert 1 <= len(P) <= n
         assert P == sorted(P)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scores=st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.25, 2.0]), min_size=1,
+                        max_size=30),
+        pr=st.floats(min_value=0.01, max_value=1.0),
+    )
+    def test_matches_sorted_oracle(self, scores, pr):
+        # few distinct values, so ties (including -0.0 against 0.0) are common
+        n = len(scores)
+        k = max(1, math.ceil(pr * n))
+        oracle = sorted(sorted(range(n), key=lambda i: (-scores[i], i))[:k])
+        assert topk_filter(scores, pr, n) == oracle
+
 
 class TestPoolGraph:
     def test_zero_scores_zero_features(self):
         X = nc.constant(RNG.normal(size=(3, 2)))
         alpha = nc.constant(np.zeros((3, 1)))
-        X_pool = pool_graph(X, alpha, [0, 1, 2])
-        assert np.array_equal(X_pool.data, np.zeros((3, 2)))
+        h = pool_graph(X, alpha, [0, 1, 2])
+        assert np.array_equal(h.data, np.zeros((1, 2)))
 
     def test_rows_scaled_by_tanh_alpha(self):
         X = nc.constant([[2.0, 4.0], [1.0, 1.0]])
         alpha = nc.constant([[0.5], [-1.0]])
-        X_pool = pool_graph(X, alpha, [0, 1])
-        expected = np.array([[2.0, 4.0], [1.0, 1.0]]) * np.tanh([[0.5], [-1.0]])
-        assert np.allclose(X_pool.data, expected)
+        h = pool_graph(X, alpha, [0, 1])
+        expected = (np.array([[2.0, 4.0], [1.0, 1.0]]) * np.tanh([[0.5], [-1.0]])).sum(axis=0)
+        assert np.allclose(h.data, expected.reshape(1, 2))
 
 
 class TestReadout:
+    """pool_graph's readout over the kept rows, with unit gates."""
+
+    X = [[1.0, 2.0], [3.0, 4.0]]
+    GATES = [[ONE], [ONE]]
+
     def test_sum(self):
-        out = readout(nc.constant([[1.0, 2.0], [3.0, 4.0]]), "sum")
+        out = pool_graph(nc.constant(self.X), nc.constant(self.GATES), [0, 1], "sum")
         assert out.data.tolist() == [[4.0, 6.0]]
 
     def test_mean(self):
-        out = readout(nc.constant([[1.0, 2.0], [3.0, 4.0]]), "mean")
+        out = pool_graph(nc.constant(self.X), nc.constant(self.GATES), [0, 1], "mean")
         assert out.data.tolist() == [[2.0, 3.0]]
 
     def test_single_row_same_under_both(self):
-        row = nc.constant([[7.0, 9.0]])
-        assert readout(row, "sum").data.tolist() == readout(row, "mean").data.tolist()
+        args = nc.constant(self.X), nc.constant(self.GATES), [1]
+        assert pool_graph(*args, "sum").data.tolist() == pool_graph(*args, "mean").data.tolist()
 
     def test_empty_pool_rejected(self):
-        empty = nc.Tensor(np.zeros((0, 3)))
         with pytest.raises(EmptyPoolError):
-            readout(empty, "sum")
+            pool_graph(nc.constant(self.X), nc.constant(self.GATES), [], "sum")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            readout(nc.constant([[1.0]]), "max")
+            pool_graph(nc.constant(self.X), nc.constant(self.GATES), [0], "max")
 
 
 def tiny_model(**overrides):
@@ -328,7 +352,7 @@ class TestHeads:
         model = tiny_model(head="siamese")
         h = nc.constant([[0.6, -0.8, 0.0, 0.0]])
         assert pair_similarity(model, h, h).item() == 1.0
-        assert pair_similarity(model, h, nc.scale(h, -1.0)).item() == -1.0
+        assert pair_similarity(model, h, nc.constant(-h.data)).item() == -1.0
         ortho = nc.constant([[0.0, 0.0, 2.5, 0.0]])
         assert pair_similarity(model, h, ortho).item() == 0.0
 
@@ -400,9 +424,7 @@ class TestEndToEndGradient:
         assert np.diff(np.sort(scores)).min() > 1e-4  # stable top-k under nudges
 
         def loss():
-            probs = classify(model, embed(model, t))
-            p0 = nc.sum_all(nc.hadamard(probs, nc.constant([[1.0, 0.0]])))
-            return nc.scale(nc.log_(p0), -1.0)
+            return cross_entropy(classify(model, embed(model, t)), np.array([[1.0, 0.0]]))
 
         fd_gradcheck(loss, model.params())
 
@@ -419,3 +441,33 @@ class TestEndToEndGradient:
             return pair_similarity(model, embed(model, t1), embed(model, t2))
 
         fd_gradcheck(loss, model.params())
+
+
+def tape_ops(loss) -> int:
+    """Operation nodes (tensors with a backward) reachable from ``loss``."""
+    seen, stack, ops = set(), [loss], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            ops += t._backward_fn is not None
+            stack.extend(t._parents)
+    return ops
+
+
+class TestTapeSize:
+    """One tape node per layer: three convs (two plus the scorer), the
+    pool, the head's layers and the loss."""
+
+    def test_classified_graph(self):
+        model = build_model({"in_dim": 4}, seed=0)
+        t = random_graph_tensors(np.random.default_rng(5), n_nodes=12, n_labels=4)
+        loss = cross_entropy(classify(model, embed(model, t)), np.array([[1.0, 0.0]]))
+        assert tape_ops(loss) <= 10
+
+    def test_siamese_pair(self):
+        model = build_model({"in_dim": 4, "head": "siamese"}, seed=0)
+        rng = np.random.default_rng(6)
+        t1, t2 = (random_graph_tensors(rng, n_nodes=n, n_labels=4) for n in (9, 12))
+        loss = contrastive_loss(pair_similarity(model, embed(model, t1), embed(model, t2)), -1)
+        assert tape_ops(loss) <= 12

@@ -1,5 +1,8 @@
 """Dataset handling: normalization, vocabularies, encoding, splits, pairs,
 and the disk cache."""
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -351,6 +354,23 @@ class TestCache:
     def test_wrong_magic_raises(self, tmp_path):
         key = "a" * 64
         (tmp_path / f"{key}.gt").write_bytes(b"NOTME" + b"\x00" * 64)
+        with pytest.raises(CacheCorruptError):
+            cache_get(tmp_path, key)
+
+    @pytest.mark.parametrize("header, extra_len", [
+        (b"\xff\xfe", 0),  # not UTF-8
+        (b'{"graph_id": "t", "label": null, "rows": 0, "cols": 0, "edges": 0}', 1000),
+        (b"[1]", 0),
+        (b'{"graph_id": "t", "label": null, "cols": 0, "edges": 0}', 0),  # no rows
+        (b'{"graph_id": "t", "label": null, "rows": "1", "cols": 0, "edges": 0}', 0),
+    ], ids=["not-utf8", "length-past-end", "not-an-object", "missing-rows", "string-rows"])
+    def test_malformed_header_is_corrupt(self, tmp_path, header, extra_len):
+        # a valid checksum, so only the header itself is at fault; eight
+        # bytes of feature data follow it
+        payload = (graphdata._CACHE_MAGIC + struct.pack("<Q", len(header) + extra_len)
+                   + header + bytes(8))
+        key = "b" * 64
+        (tmp_path / f"{key}.gt").write_bytes(payload + hashlib.sha256(payload).digest())
         with pytest.raises(CacheCorruptError):
             cache_get(tmp_path, key)
 

@@ -1,5 +1,7 @@
-"""Numeric core: forward semantics, reverse-mode gradients against central
-finite differences, and optimizer update rules."""
+"""Numeric core: forward semantics of the layer operations, reverse-mode
+gradients against central finite differences, and optimizer update rules."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import fd_gradcheck
 from hwgnn.errors import NonFiniteError, ShapeMismatchError, ZeroVectorError
+from hwgnn.graph2vec import build_adjacency
 from hwgnn.nncore import (
     Adam,
     Parameter,
@@ -14,37 +17,42 @@ from hwgnn.nncore import (
     add,
     backward,
     constant,
+    contrastive_loss,
     cosine,
-    gather_rows,
-    hadamard,
-    log_,
-    matmul,
-    mean_rows,
-    relu,
-    row_scale,
-    scale,
-    scatter_add_rows,
+    cross_entropy,
+    dense,
+    gate_pool,
+    graph_conv,
     sgd_step,
     softmax_rows,
-    sub,
-    sum_all,
-    sum_rows,
-    tanh_,
     zero_grads,
 )
 
 RNG = np.random.default_rng(20)
+ONE = 20.0  # np.tanh(20.0) == 1.0 exactly, so the pooling gate passes rows unchanged
+
+
+def zeros_bias(cols):
+    return constant(np.zeros((1, cols)))
 
 
 def weighted_sum(out, weights):
-    """Random-weight scalar readout so gradients are not uniform."""
-    return sum_all(hadamard(out, constant(weights)))
+    """Random-weight scalar readout so gradients are not uniform: row i of
+    ``out`` weighted by tanh(weights[i, 0]) and column j by weights[0, j]."""
+    rows = np.arange(out.rows)
+    pooled = gate_pool(out, constant(weights[:, :1]), rows, "sum")
+    return dense(pooled, constant(weights[:1, :].T), zeros_bias(1))
+
+
+def conv(X, W_self, W_neigh, bias, edges, activation, directed=False):
+    return graph_conv(X, W_self, W_neigh, bias, build_adjacency(X.rows, edges, directed),
+                      activation)
 
 
 class TestForward:
     def test_matmul_identity(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = matmul(constant(np.eye(2)), constant(m))
+        out = dense(constant(np.eye(2)), constant(m), zeros_bias(2))
         assert np.array_equal(out.data, m)
 
     def test_softmax_symmetry(self):
@@ -52,51 +60,62 @@ class TestForward:
         assert out.data.tolist() == [[0.5, 0.5]]
 
     def test_hadamard_arithmetic(self):
-        out = hadamard(constant([[1.0, 2.0]]), constant([[3.0, 4.0]]))
-        assert out.data.tolist() == [[3.0, 8.0]]
+        # pooling multiplies each kept row elementwise by its tanh gate
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        alpha = np.array([[0.3], [-0.7]])
+        out = gate_pool(constant(X), constant(alpha), np.array([0, 1]), "sum")
+        assert np.allclose(out.data, (X * np.tanh(alpha)).sum(axis=0, keepdims=True))
 
     def test_add_broadcasts_single_row(self):
         out = add(constant([[1.0, 1.0], [2.0, 2.0]]), constant([[10.0, 20.0]]))
         assert out.data.tolist() == [[11.0, 21.0], [12.0, 22.0]]
 
     def test_sub(self):
-        out = sub(constant([[3.0]]), constant([[1.0]]))
-        assert out.item() == 2.0
+        # a positive pair's contrastive loss is 1 - similarity
+        assert contrastive_loss(constant([[0.25]]), 1).item() == 0.75
 
     def test_relu_clips_negatives(self):
-        out = relu(constant([[-1.0, 0.0, 2.0]]))
+        out = dense(constant([[-1.0, 0.0, 2.0]]), constant(np.eye(3)), zeros_bias(3), "relu")
         assert out.data.tolist() == [[0.0, 0.0, 2.0]]
 
     def test_tanh_matches_numpy(self):
         x = np.array([[0.3, -1.2]])
-        assert np.allclose(tanh_(constant(x)).data, np.tanh(x))
+        out = conv(constant(x), constant(np.eye(2)), constant(np.eye(2)), zeros_bias(2), [],
+                   "tanh")
+        assert np.allclose(out.data, np.tanh(x))
 
     def test_log_rejects_nonpositive(self):
         with pytest.raises(NonFiniteError, match="log"):
-            log_(constant([[0.0]]))
+            cross_entropy(constant([[-1.0, 2.0]]), np.array([[1.0, 0.0]]))
 
     def test_row_reductions(self):
         x = constant([[1.0, 2.0], [3.0, 4.0]])
-        assert sum_rows(x).data.tolist() == [[4.0, 6.0]]
-        assert mean_rows(x).data.tolist() == [[2.0, 3.0]]
-        assert sum_all(x).item() == 10.0
+        gates = constant([[ONE], [ONE]])
+        assert gate_pool(x, gates, np.array([0, 1]), "sum").data.tolist() == [[4.0, 6.0]]
+        assert gate_pool(x, gates, np.array([0, 1]), "mean").data.tolist() == [[2.0, 3.0]]
 
     def test_row_scale(self):
-        out = row_scale(constant([[1.0, 2.0], [3.0, 4.0]]), constant([[2.0], [10.0]]))
-        assert out.data.tolist() == [[2.0, 4.0], [30.0, 40.0]]
+        out = gate_pool(constant([[1.0, 2.0], [3.0, 4.0]]), constant([[ONE], [-ONE]]),
+                        np.array([0, 1]), "sum")
+        assert out.data.tolist() == [[-2.0, -2.0]]
 
     def test_gather_rows(self):
-        out = gather_rows(constant([[1.0], [2.0], [3.0]]), np.array([2, 0, 2]))
-        assert out.data.tolist() == [[3.0], [1.0], [3.0]]
+        out = gate_pool(constant([[1.0], [2.0], [3.0]]), constant([[ONE]] * 3),
+                        np.array([0, 2]), "sum")
+        assert out.data.tolist() == [[4.0]]
 
     def test_scatter_add_rows(self):
-        out = scatter_add_rows(constant([[1.0], [2.0], [4.0]]), np.array([1, 1, 0]), 3)
+        # messages 0->1, 1->1, 2->0 with unit weights: node 2 receives none
+        adj = SimpleNamespace(n=3, msg_src=np.array([0, 1, 2]), msg_dst=np.array([1, 1, 0]),
+                              inv_deg=np.ones((3, 1)))
+        out = graph_conv(constant([[1.0], [2.0], [4.0]]), constant([[0.0]]), constant([[1.0]]),
+                         zeros_bias(1), adj, "identity")
         assert out.data.tolist() == [[4.0], [3.0], [0.0]]
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_finite_outputs_enforced(self):
         with pytest.raises(NonFiniteError):
-            scale(constant([[1e308]]), 10.0)
+            add(constant([[1e308]]), constant([[1e308]]))
 
 
 class TestCosine:
@@ -131,7 +150,7 @@ class TestCosine:
 class TestShapeErrors:
     def test_matmul(self):
         with pytest.raises(ShapeMismatchError):
-            matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
+            dense(constant(np.ones((2, 3))), constant(np.ones((2, 3))), zeros_bias(3))
 
     def test_add(self):
         with pytest.raises(ShapeMismatchError):
@@ -139,23 +158,27 @@ class TestShapeErrors:
 
     def test_hadamard(self):
         with pytest.raises(ShapeMismatchError):
-            hadamard(constant(np.ones((2, 3))), constant(np.ones((1, 3))))
+            cross_entropy(constant(np.full((2, 3), 0.5)), np.ones((1, 3)))
 
     def test_row_scale(self):
         with pytest.raises(ShapeMismatchError):
-            row_scale(constant(np.ones((2, 3))), constant(np.ones((3, 1))))
+            gate_pool(constant(np.ones((2, 3))), constant(np.ones((3, 1))), np.array([0]), "sum")
 
     def test_gather_range(self):
         with pytest.raises(ShapeMismatchError):
-            gather_rows(constant(np.ones((2, 1))), np.array([2]))
+            gate_pool(constant(np.ones((2, 1))), constant(np.ones((2, 1))), np.array([2]), "sum")
 
     def test_scatter_index_per_row(self):
         with pytest.raises(ShapeMismatchError):
-            scatter_add_rows(constant(np.ones((2, 1))), np.array([0]), 2)
+            graph_conv(constant(np.ones((2, 1))), constant([[1.0]]), constant([[1.0]]),
+                       zeros_bias(1), build_adjacency(3, []), "identity")
 
     def test_scatter_range(self):
+        adj = SimpleNamespace(n=2, msg_src=np.array([0]), msg_dst=np.array([5]),
+                              inv_deg=np.ones((2, 1)))
         with pytest.raises(ShapeMismatchError):
-            scatter_add_rows(constant(np.ones((2, 1))), np.array([0, 5]), 2)
+            graph_conv(constant(np.ones((2, 1))), constant([[1.0]]), constant([[1.0]]),
+                       zeros_bias(1), adj, "identity")
 
     def test_three_dims_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -179,38 +202,46 @@ class TestShapeErrors:
 class TestBackwardBasics:
     def test_sum_gradient_is_ones(self):
         w = Parameter(RNG.normal(size=(3, 2)), "w")
-        backward(sum_all(w))
+        pooled = gate_pool(w, constant(np.full((3, 1), ONE)), np.arange(3), "sum")
+        backward(dense(pooled, constant(np.ones((2, 1))), zeros_bias(1)))
         assert np.array_equal(w.grad, np.ones((3, 2)))
 
     def test_half_square_norm_gradient_is_identity(self):
-        w = Parameter(RNG.normal(size=(2, 4)), "w")
-        backward(scale(sum_all(hadamard(w, w)), 0.5))
+        # w feeds one dense op as input and as weight; both uses count
+        w = Parameter([[1.5]], "w")
+        backward(dense(dense(w, w, zeros_bias(1)), constant([[0.5]]), zeros_bias(1)))
         assert np.allclose(w.grad, w.data)
 
     def test_gradients_accumulate_across_uses(self):
         w = Parameter([[2.0]], "w")
-        backward(add(sum_all(w), sum_all(w)))
+        backward(add(w, w))
         assert w.grad.tolist() == [[2.0]]
 
     def test_constants_get_no_gradient(self):
         c = constant([[1.0]])
         w = Parameter([[1.0]], "w")
-        backward(sum_all(hadamard(w, c)))
+        backward(dense(w, c, zeros_bias(1)))
         assert c.grad is None
 
     def test_nonfinite_gradient_detected(self):
-        # smallest denormal: log is finite but 1/x overflows in backward
-        w = Parameter([[5e-324]], "w")
+        # the forward value is 1e300, but dloss/dW1 = x * W2 = 1e600
+        x = constant([[1e300]])
+        W1 = Parameter([[1e-300]], "W1")
+        W2 = Parameter([[1e300]], "W2")
         with pytest.raises(NonFiniteError):
-            backward(sum_all(log_(w)))
+            backward(dense(dense(x, W1, zeros_bias(1)), W2, zeros_bias(1)))
 
 
 class TestGradientOracle:
+    """One finite-difference check per layer operation and setting; the
+    names recall the primitives each layer operation absorbed."""
+
     def test_matmul(self):
         a = Parameter(RNG.normal(size=(3, 4)), "a")
         b = Parameter(RNG.normal(size=(4, 2)), "b")
+        c = Parameter(RNG.normal(size=(1, 2)), "c")
         w = RNG.normal(size=(3, 2))
-        fd_gradcheck(lambda: weighted_sum(matmul(a, b), w), [a, b])
+        fd_gradcheck(lambda: weighted_sum(dense(a, b, c), w), [a, b, c])
 
     def test_add_with_broadcast(self):
         a = Parameter(RNG.normal(size=(3, 4)), "a")
@@ -219,32 +250,47 @@ class TestGradientOracle:
         fd_gradcheck(lambda: weighted_sum(add(a, b), w), [a, b])
 
     def test_hadamard(self):
-        a = Parameter(RNG.normal(size=(2, 5)), "a")
-        b = Parameter(RNG.normal(size=(2, 5)), "b")
-        w = RNG.normal(size=(2, 5))
-        fd_gradcheck(lambda: weighted_sum(hadamard(a, b), w), [a, b])
+        # the gate product, with the scores held fixed
+        a = Parameter(RNG.normal(size=(4, 5)), "a")
+        alpha = constant(RNG.normal(size=(4, 1)))
+        w = RNG.normal(size=(1, 5))
+        fd_gradcheck(lambda: weighted_sum(gate_pool(a, alpha, np.arange(4), "sum"), w), [a])
 
     def test_row_scale(self):
         a = Parameter(RNG.normal(size=(3, 4)), "a")
         s = Parameter(RNG.normal(size=(3, 1)), "s")
-        w = RNG.normal(size=(3, 4))
-        fd_gradcheck(lambda: weighted_sum(row_scale(a, s), w), [a, s])
+        w = RNG.normal(size=(1, 4))
+        fd_gradcheck(lambda: weighted_sum(gate_pool(a, s, np.arange(3), "sum"), w), [a, s])
 
     def test_scale(self):
-        a = Parameter(RNG.normal(size=(2, 3)), "a")
-        w = RNG.normal(size=(2, 3))
-        fd_gradcheck(lambda: weighted_sum(scale(a, -1.7), w), [a])
+        # contrastive loss: slope -1 for +1 pairs, +1 above the margin for -1 pairs
+        s = Parameter([[0.3]], "s")
+        fd_gradcheck(lambda: contrastive_loss(s, 1), [s])
+        fd_gradcheck(lambda: contrastive_loss(s, -1, margin=0.1), [s])
 
     def test_relu_away_from_kink(self):
         signs = RNG.choice([-1.0, 1.0], size=(3, 4))
         a = Parameter(signs * RNG.uniform(0.2, 1.0, size=(3, 4)), "a")
         w = RNG.normal(size=(3, 4))
-        fd_gradcheck(lambda: weighted_sum(relu(a), w), [a])
+        fd_gradcheck(lambda: weighted_sum(dense(a, constant(np.eye(4)), zeros_bias(4), "relu"),
+                                          w), [a])
+        X = constant(RNG.normal(size=(5, 3)))
+        Ws = Parameter(RNG.normal(size=(3, 4)), "Ws")
+        Wn = Parameter(RNG.normal(size=(3, 4)), "Wn")
+        b = Parameter(RNG.normal(size=(1, 4)), "b")
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]
+        assert np.abs(conv(X, Ws, Wn, b, edges, "identity").data).min() > 1e-3
+        w5 = RNG.normal(size=(5, 4))
+        fd_gradcheck(lambda: weighted_sum(conv(X, Ws, Wn, b, edges, "relu"), w5), [Ws, Wn, b])
 
     def test_tanh(self):
-        a = Parameter(RNG.normal(size=(2, 4)), "a")
-        w = RNG.normal(size=(2, 4))
-        fd_gradcheck(lambda: weighted_sum(tanh_(a), w), [a])
+        X = Parameter(RNG.normal(size=(5, 3)), "X")
+        Ws = Parameter(RNG.normal(size=(3, 4)), "Ws")
+        Wn = Parameter(RNG.normal(size=(3, 4)), "Wn")
+        b = Parameter(RNG.normal(size=(1, 4)), "b")
+        edges = [(0, 1), (1, 2), (2, 2), (3, 1)]
+        w = RNG.normal(size=(5, 4))
+        fd_gradcheck(lambda: weighted_sum(conv(X, Ws, Wn, b, edges, "tanh"), w), [X, Ws, Wn, b])
 
     def test_softmax(self):
         a = Parameter(RNG.normal(size=(3, 4)), "a")
@@ -253,26 +299,34 @@ class TestGradientOracle:
 
     def test_log(self):
         a = Parameter(RNG.uniform(0.5, 2.0, size=(2, 3)), "a")
-        w = RNG.normal(size=(2, 3))
-        fd_gradcheck(lambda: weighted_sum(log_(a), w), [a])
+        Y = RNG.uniform(0.0, 1.0, size=(2, 3))
+        fd_gradcheck(lambda: cross_entropy(a, Y), [a])
 
     def test_reductions(self):
         a = Parameter(RNG.normal(size=(4, 3)), "a")
+        s = Parameter(RNG.normal(size=(4, 1)), "s")
         w = RNG.normal(size=(1, 3))
-        fd_gradcheck(lambda: weighted_sum(sum_rows(a), w), [a])
-        fd_gradcheck(lambda: weighted_sum(mean_rows(a), w), [a])
+        fd_gradcheck(lambda: weighted_sum(gate_pool(a, s, np.arange(4), "sum"), w), [a, s])
+        fd_gradcheck(lambda: weighted_sum(gate_pool(a, s, np.arange(4), "mean"), w), [a, s])
 
     def test_gather(self):
-        a = Parameter(RNG.normal(size=(4, 3)), "a")
-        idx = np.array([0, 2, 2, 3, 1])
-        w = RNG.normal(size=(5, 3))
-        fd_gradcheck(lambda: weighted_sum(gather_rows(a, idx), w), [a])
+        a = Parameter(RNG.normal(size=(5, 3)), "a")
+        s = Parameter(RNG.normal(size=(5, 1)), "s")
+        keep = np.array([0, 2, 3])
+        w = RNG.normal(size=(1, 3))
+        fd_gradcheck(lambda: weighted_sum(gate_pool(a, s, keep, "mean"), w), [a, s])
 
     def test_scatter_add(self):
-        a = Parameter(RNG.normal(size=(5, 3)), "a")
-        idx = np.array([1, 0, 1, 3, 3])
-        w = RNG.normal(size=(4, 3))
-        fd_gradcheck(lambda: weighted_sum(scatter_add_rows(a, idx, 4), w), [a])
+        X = Parameter(RNG.normal(size=(5, 3)), "X")
+        Ws = Parameter(RNG.normal(size=(3, 2)), "Ws")
+        Wn = Parameter(RNG.normal(size=(3, 2)), "Wn")
+        b = Parameter(RNG.normal(size=(1, 2)), "b")
+        # duplicate edge, self-loop, an isolated node (4), one-way reachability
+        edges = [(0, 1), (0, 1), (1, 2), (3, 3), (2, 0), (0, 3)]
+        w = RNG.normal(size=(5, 2))
+        for directed in (False, True):
+            fd_gradcheck(lambda: weighted_sum(conv(X, Ws, Wn, b, edges, "identity", directed), w),
+                         [X, Ws, Wn, b])
 
     def test_cosine(self):
         u = Parameter(RNG.normal(size=(1, 5)) + 0.3, "u")
@@ -286,12 +340,12 @@ class TestGradientOracle:
         w2 = Parameter(RNG.normal(size=(5, 4)) * 0.5, "w2")
         b2 = Parameter(RNG.normal(size=(1, 4)) * 0.1, "b2")
         w3 = Parameter(RNG.normal(size=(4, 3)) * 0.5, "w3")
-        w = RNG.normal(size=(4, 3))
+        Y = np.eye(3)[[0, 2, 1, 0]]
 
         def loss():
-            h1 = tanh_(add(matmul(x, w1), b1))
-            h2 = tanh_(add(matmul(h1, w2), b2))
-            return weighted_sum(softmax_rows(matmul(h2, w3)), w)
+            h1 = dense(x, w1, b1, "tanh")
+            h2 = dense(h1, w2, b2, "tanh")
+            return cross_entropy(softmax_rows(dense(h2, w3, zeros_bias(3))), Y)
 
         fd_gradcheck(loss, [w1, b1, w2, b2, w3])
 
@@ -351,7 +405,7 @@ class TestProperties:
             opt = Adam([w], lr=0.01)
             for _ in range(5):
                 zero_grads([w])
-                backward(sum_all(tanh_(matmul(x, w))))
+                backward(cross_entropy(softmax_rows(dense(x, w, zeros_bias(3))), np.eye(2, 3)))
                 opt.step()
             return w.data.tobytes()
 
