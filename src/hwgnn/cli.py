@@ -17,181 +17,102 @@ from pathlib import Path
 
 import yaml
 
-from . import graphdata, learnpipe
-from .errors import ConfigError, HwgnnError, UnknownCircuitError
-from .graph2vec import embed
-from .hwgraph import AST, DFG, GLN, RTL, hw2graph, load_design_dir, write_graph
+from . import graphdata, learnpipe, settings
+from .errors import BadLabelError, ConfigError, HwgnnError, UnknownCircuitError
+from .hwgraph import hw2graph, load_design_dir, write_graph
 from .learnpipe import TrainConfig
 
-CONFIG_HELP = """\
-configuration file (YAML):
-  corpus: DIR       corpus root laid out as <root>/<design>/*.v
-  labels: FILE      label manifest (default <corpus>/labels.json); maps each
-                    design to "Trojan"/"Non_Trojan", to a category string, or
-                    to {label: ..., circuit: ..., category: ...}
-  kind: ast|dfg     graph representation to extract (default dfg)
-  abstraction: rtl|gln   source abstraction level (default rtl)
-  top: NAME         top module override for single-design commands
-  cache: DIR        encoded-tensor cache directory
-  out: DIR          output directory (default .)
-  checkpoint: FILE  model checkpoint to load (embed / infer commands)
-  seed: N           RNG seed for splits and initialization (default 0)
-  ratio: R          held-out test fraction for random splits (default 0.2)
-  leave_out: NAME   hold out one base circuit instead of splitting randomly
-  jobs: N           worker processes for `graph` (default: all cores)
-  train:            training hyper-parameters
-    epochs: N             passes over the training set (default 120)
-    batch_size: N         graphs or pairs per step (default 8)
-    lr: R                 learning rate (default 0.01)
-    optimizer: adam|sgd   (default adam)
-    pooling_ratio: R      top-k node fraction kept by pooling (default 0.5)
-    margin: R             contrastive-loss margin (default 0.5)
-    delta: R              similarity decision boundary (default 0.5)
-    mini_test_interval: N validation cadence in steps (default 10)
-    readout: sum|mean     graph-level reduction (default sum)
-    conv_dims: [..]       convolution widths (default [64, 64])
-    activation: relu|tanh|identity  (default relu)
-    mlp_hidden: [..]      classifier hidden widths (default [32])
-    directed_messages: true|false   (default false)
 
-Unknown keys are rejected. Flags (--kind, --top, --seed, --cache, --out,
---leave-out) take precedence over file values.
-"""
+def _config_help() -> str:
+    """The ``--help`` epilog: one line per declared setting, then the keys
+    under ``train:``, which is the last top-level key."""
+    lines = ["configuration file (YAML):"]
+    rows = [("  ", s) for s in settings.TOP.values()]
+    for indent, s in rows + [("    ", s) for s in settings.TRAIN.values()]:
+        left = f"{indent}{s.name}: {s.rule.meta}"
+        shown = s.default if isinstance(s.default, str) else json.dumps(s.default)
+        default = "" if s.default in (None, {}) else f" (default {shown})"
+        if len(left) > 22:  # too wide for the column: help goes on its own line
+            lines, left = lines + [left], ""
+        lines.append(f"{left:<22}  {s.help}{default}")
+    lines += [
+        "",
+        'A manifest maps each design to "Trojan"/"Non_Trojan", to a category',
+        "string, or to {label: ..., circuit: ..., category: ...}. Unknown keys and",
+        "bad values are rejected before any design is read; null unsets a key with no",
+        "fixed default. Flags (--kind, --top, --seed, --cache, --out, --leave-out)",
+        "take precedence over file values.",
+    ]
+    return "\n".join(lines) + "\n"
 
-_TOP_KEYS = {
-    "corpus", "labels", "kind", "abstraction", "top", "cache", "out",
-    "checkpoint", "seed", "ratio", "leave_out", "jobs", "train",
-}
-_TRAIN_KEYS = {f.name for f in TrainConfig.__dataclass_fields__.values()}
+
+CONFIG_HELP = _config_help()
 
 
 def load_config(path: str | None) -> dict:
+    """The config file's mapping, every key checked against its declaration
+    in ``settings``; raises ConfigError naming the first bad one."""
     if path is None:
         return {}
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-    doc = yaml.safe_load(p.read_text(encoding="utf-8"))
+    try:
+        doc = yaml.safe_load(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        # YAML's own messages span several lines; keep the error to one
+        raise ConfigError(f"{p}: unreadable config: {' '.join(str(exc).split())}") from None
     if doc is None:
         doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{p}: config must be a mapping, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - _TOP_KEYS)
-    if unknown:
-        raise ConfigError(f"{p}: unknown config keys: {', '.join(unknown)}")
-    sub = doc.get("train", {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"{p}: 'train' must be a mapping")
-    bad = sorted(set(sub) - _TRAIN_KEYS)
-    if bad:
-        raise ConfigError(f"{p}: unknown train keys: {', '.join(bad)}")
+    try:
+        settings.check(settings.TOP, doc, "config")
+    except ValueError as exc:
+        raise ConfigError(f"{p}: {exc}") from None
+    try:
+        settings.check(settings.TRAIN, doc.get("train", {}), "train")
+    except ValueError as exc:
+        raise ConfigError(f"{p}: bad train config: {exc}") from None
     return doc
 
 
-def _integer(value, key: str, low: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
-    return value
-
-
 class Run:
-    """Merged view of config file plus command-line overrides."""
+    """Config file values with the command-line flags over them, checked
+    and defaulted before any command reads a design."""
 
     def __init__(self, args: argparse.Namespace):
-        self.cfg = load_config(args.config)
         self.args = args
-        # plain values are checked here, before any command reads a design
-        self.seed = _integer(self._pick("seed", "seed", 0), "seed", 0)
-        self.jobs = _integer(self.cfg.get("jobs", os.cpu_count() or 1), "jobs", 1)
-        ratio = self.cfg.get("ratio", 0.2)
-        if not isinstance(ratio, (int, float)) or isinstance(ratio, bool):
-            raise ConfigError(f"ratio must be a number, got {ratio!r}")
-        if not 0.0 < ratio < 1.0:
-            raise ConfigError(f"ratio must be in (0, 1), got {ratio!r}")
-        self.ratio = float(ratio)
+        # flags share their names with the top-level keys they override
+        flags = {k: getattr(args, k, None) for k in settings.TOP}
+        given = {**load_config(args.config), **{k: v for k, v in flags.items() if v is not None}}
+        try:
+            self.cfg = settings.check(settings.TOP, given, "config")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        c = self.cfg
+        self.seed, self.ratio = c["seed"], c["ratio"]
+        self.top, self.leave_out = c["top"], c["leave_out"]
+        self.jobs = c["jobs"] or os.cpu_count() or 1
+        # "ast"/"dfg" and "rtl"/"gln" in any case name the AST/DFG and RTL/GLN constants
+        self.kind, self.abstraction = c["kind"].upper(), c["abstraction"].upper()
+        self.out = Path(c["out"])
+        self.cache = None if c["cache"] is None else Path(c["cache"])
+        self.train = TrainConfig(**c["train"], seed=self.seed)
 
-    def _pick(self, flag: str, key: str, default):
-        v = getattr(self.args, flag, None)
-        if v is not None:
-            return v
-        return self.cfg.get(key, default)
-
-    @property
-    def kind(self) -> str:
-        k = str(self._pick("kind", "kind", "dfg")).lower()
-        if k not in ("ast", "dfg"):
-            raise ConfigError(f"kind must be 'ast' or 'dfg', got {k!r}")
-        return AST if k == "ast" else DFG
-
-    @property
-    def abstraction(self) -> str:
-        a = str(self.cfg.get("abstraction", "rtl")).lower()
-        if a not in ("rtl", "gln"):
-            raise ConfigError(f"abstraction must be 'rtl' or 'gln', got {a!r}")
-        return RTL if a == "rtl" else GLN
-
-    @property
-    def top(self) -> str | None:
-        return self._pick("top", "top", None)
-
-    @property
-    def out(self) -> Path:
-        return Path(self._pick("out", "out", "."))
-
-    @property
-    def cache(self) -> Path | None:
-        c = self._pick("cache", "cache", None)
-        return None if c is None else Path(c)
-
-    @property
-    def leave_out(self) -> str | None:
-        return self._pick("leave_out", "leave_out", None)
+    def _path(self, key: str, exists, problem: str) -> Path:
+        if self.cfg[key] is None:
+            raise ConfigError(f"config key {key!r} is required for this command")
+        p = Path(self.cfg[key])
+        if not exists(p):
+            raise ConfigError(f"{problem}: {p}")
+        return p
 
     @property
     def corpus(self) -> Path:
-        c = self.cfg.get("corpus")
-        if c is None:
-            raise ConfigError("config key 'corpus' is required for this command")
-        p = Path(c)
-        if not p.is_dir():
-            raise ConfigError(f"corpus root is not a directory: {p}")
-        return p
+        return self._path("corpus", Path.is_dir, "corpus root is not a directory")
 
     @property
     def checkpoint(self) -> Path:
-        c = self.cfg.get("checkpoint")
-        if c is None:
-            raise ConfigError("config key 'checkpoint' is required for this command")
-        p = Path(c)
-        if not p.is_file():
-            raise ConfigError(f"checkpoint not found: {p}")
-        return p
-
-    def train_config(self) -> TrainConfig:
-        sub = dict(self.cfg.get("train", {}))
-        sub["seed"] = self.seed
-        try:
-            return TrainConfig(**sub)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad train config: {exc}") from None
-
-    def manifest(self) -> dict[str, dict]:
-        path = Path(self.cfg.get("labels", self.corpus / "labels.json"))
-        if not path.is_file():
-            raise ConfigError(f"label manifest not found: {path}")
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: manifest must map design names to labels")
-        out: dict[str, dict] = {}
-        for name, v in raw.items():
-            if isinstance(v, str):
-                # bare string doubles as class label and as pair category
-                out[name] = {"label": v, "category": v}
-            elif isinstance(v, dict):
-                out[name] = v
-            else:
-                raise ConfigError(f"{path}: entry {name!r} must be a string or mapping")
-        return out
+        return self._path("checkpoint", Path.is_file, "checkpoint not found")
 
 
 def _design_dirs(root: Path) -> list[Path]:
@@ -199,29 +120,40 @@ def _design_dirs(root: Path) -> list[Path]:
 
 
 def _labeled_designs(run: Run, key: str):
-    """Corpus design dirs, the checked manifest, and each design's `key` field."""
+    """Corpus design dirs, the manifest, and each design's ``key`` field;
+    every manifest problem is a ConfigError raised before a design is read."""
     designs = _design_dirs(run.corpus)
-    manifest = run.manifest()
-    _check_manifest(manifest, [p.name for p in designs])
-    values = {}
-    for p in designs:
-        if manifest[p.name].get(key) is None:
-            raise ConfigError(f"manifest entry for {p.name!r} lacks a {key!r} field")
-        values[p.name] = manifest[p.name][key]
-    return designs, manifest, values
-
-
-def _check_manifest(manifest: dict, designs: list[str]) -> None:
-    """Every corpus design labeled, every label backed by a design."""
-    missing = sorted(set(designs) - set(manifest))
-    orphans = sorted(set(manifest) - set(designs))
-    problems = []
-    if missing:
-        problems.append(f"designs without manifest entry: {', '.join(missing)}")
-    if orphans:
-        problems.append(f"manifest entries without design dir: {', '.join(orphans)}")
+    path = run.corpus / "labels.json" if run.cfg["labels"] is None else Path(run.cfg["labels"])
+    if not path.is_file():
+        raise ConfigError(f"label manifest not found: {path}")
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: unreadable manifest: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: manifest must map design names to labels")
+    manifest: dict[str, dict] = {}
+    for name, v in raw.items():
+        if isinstance(v, str):
+            # bare string doubles as class label and as pair category
+            manifest[name] = {"label": v, "category": v}
+        elif isinstance(v, dict):
+            manifest[name] = v
+        else:
+            raise ConfigError(f"{path}: entry {name!r} must be a string or mapping")
+    names = [p.name for p in designs]
+    problems = [f"{what}: {', '.join(found)}" for what, found in (
+        ("designs without manifest entry", sorted(set(names) - set(manifest))),
+        ("manifest entries without design dir", sorted(set(manifest) - set(names))),
+    ) if found]
     if problems:
         raise ConfigError("; ".join(problems))
+    values = {}
+    for name in names:
+        if manifest[name].get(key) is None:
+            raise ConfigError(f"manifest entry for {name!r} lacks a {key!r} field")
+        values[name] = manifest[name][key]
+    return designs, manifest, values
 
 
 # --- graph extraction (shared by every command) ---
@@ -246,7 +178,7 @@ def _graph_worker(task: tuple) -> tuple:
 
 def _input_paths(run: Run) -> list[Path]:
     paths = [Path(p) for p in run.args.inputs]
-    if not paths and run.cfg.get("corpus"):
+    if not paths and run.cfg["corpus"]:
         paths = _design_dirs(run.corpus)
     if not paths:
         raise ConfigError("no input design directories (give paths or set 'corpus')")
@@ -335,14 +267,18 @@ def _save_artifacts(run: Run, ckpt, vocab, report) -> None:
 
 
 def cmd_train_ht(run: Run) -> int:
-    cfg = run.train_config()
     designs, manifest, labels = _labeled_designs(run, "label")
+    for name, label in labels.items():
+        try:
+            learnpipe.is_trojan(label)
+        except BadLabelError as exc:
+            raise ConfigError(f"manifest entry for {name!r}: {exc}") from None
     part = _split_ids(run, sorted(p.name for p in designs), manifest)
     tensors, vocab = _encode_corpus(run, designs, labels)
     ckpt = learnpipe.train_graph_classifier(
         [tensors[i] for i in part.train],
         [tensors[i] for i in part.test],
-        cfg,
+        run.train,
         vocab_fingerprint=vocab.fingerprint,
     )
     report = learnpipe.evaluate_classifier(ckpt.model, [tensors[i] for i in part.test])
@@ -355,20 +291,19 @@ def cmd_train_ht(run: Run) -> int:
 
 
 def cmd_train_ip(run: Run) -> int:
-    cfg = run.train_config()
     designs, manifest, category_of = _labeled_designs(run, "category")
     part = _split_ids(run, sorted(p.name for p in designs), manifest)
     tensors, vocab = _encode_corpus(run, designs)
     train_pairs = graphdata.make_pairs(part.train, category_of)
     test_pairs = graphdata.make_pairs(part.test, category_of)
     ckpt = learnpipe.train_pair_model(
-        train_pairs, test_pairs, tensors, cfg, vocab_fingerprint=vocab.fingerprint
+        train_pairs, test_pairs, tensors, run.train, vocab_fingerprint=vocab.fingerprint
     )
-    report = learnpipe.evaluate_pairs(ckpt.model, test_pairs, tensors, cfg.delta)
+    report = learnpipe.evaluate_pairs(ckpt.model, test_pairs, tensors, run.train.delta)
     _save_artifacts(run, ckpt, vocab, report)
     print(
         f"test: accuracy={report.accuracy:.4f} f1={report.f1:.4f} "
-        f"({len(test_pairs)} pairs, delta={cfg.delta})"
+        f"({len(test_pairs)} pairs, delta={run.train.delta})"
     )
     return 0
 
@@ -414,12 +349,11 @@ def cmd_infer_ht(run: Run) -> int:
 
 
 def cmd_infer_ip(run: Run) -> int:
-    delta = run.train_config().delta
     model, vocab = _load_model_and_vocab(run)
     a, b = Path(run.args.design_a), Path(run.args.design_b)
     ta, tb = _encode_inputs(run, [a, b], vocab)
     sim = learnpipe.pair_similarity_value(model, ta, tb)
-    verdict = learnpipe.PIRACY if sim > delta else learnpipe.NON_PIRACY
+    verdict = learnpipe.PIRACY if sim > run.train.delta else learnpipe.NON_PIRACY
     print(f"{a.name}\t{b.name}\tsimilarity={sim:.6f}\tverdict={verdict}")
     return 0
 
@@ -437,13 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *, inputs: str | None = "*") -> None:
         p.add_argument("--config", help="YAML configuration file")
-        p.add_argument("--kind", choices=["ast", "dfg"], help="graph representation")
-        p.add_argument("--top", help="top module override")
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--cache", help="encoded-tensor cache directory")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--leave-out", dest="leave_out", metavar="CIRCUIT",
-                       help="hold out one base circuit (training commands)")
+        for key in ("kind", "top", "seed", "cache", "out", "leave_out"):
+            s = settings.TOP[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, metavar=s.rule.meta,
+                           type=int if key == "seed" else str, help=s.help)
         if inputs:
             p.add_argument("inputs", nargs=inputs, metavar="DESIGN_DIR",
                            help="design directories (default: corpus from config)")

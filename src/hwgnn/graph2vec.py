@@ -3,26 +3,16 @@ and the two task heads (2-class classifier, Siamese cosine)."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nncore as nc
+from . import settings
 from .errors import EmptyPoolError, ShapeMismatchError, WrongHeadError
 
-ACTIVATIONS = ("relu", "tanh", "identity")
-
-DEFAULT_ARCH = {
-    "in_dim": None,  # filled from the vocabulary
-    "conv_dims": [64, 64],
-    "activation": "relu",
-    "pooling_ratio": 0.5,
-    "readout": "sum",
-    "head": "classifier",  # or "siamese"
-    "mlp_hidden": [32],
-    "directed_messages": False,
-}
+# in_dim is None here: it is filled from the vocabulary
+DEFAULT_ARCH = {name: s.default for name, s in settings.ARCH.items()}
 
 
 @dataclass
@@ -59,8 +49,7 @@ class ConvLayer:
     """h'_v = act(W_self h_v + W_neigh mean_{u in N(v)} h_u + bias)."""
 
     def __init__(self, in_dim: int, out_dim: int, activation: str, rng, name: str):
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
+        settings.ARCH["activation"].check(activation)
         bound = math.sqrt(6.0 / (in_dim + out_dim))
         self.W_self = nc.Parameter(rng.uniform(-bound, bound, (in_dim, out_dim)), f"{name}.W_self")
         self.W_neigh = nc.Parameter(rng.uniform(-bound, bound, (in_dim, out_dim)), f"{name}.W_neigh")
@@ -112,43 +101,13 @@ class GnnModel:
         return out
 
 
-_ARCH_CHOICES = {
-    "activation": ACTIVATIONS,
-    "readout": ("sum", "mean"),
-    "head": ("classifier", "siamese"),
-    "directed_messages": (False, True),
-}
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def check_arch(arch: dict) -> dict:
-    """DEFAULT_ARCH overlaid with ``arch``, every value checked; raises
-    ValueError naming the first bad key."""
-    if not isinstance(arch, dict):
-        raise ValueError(f"architecture must be a mapping, got {type(arch).__name__}")
-    unknown = set(arch) - set(DEFAULT_ARCH)
-    if unknown:
-        raise ValueError(f"unknown architecture keys {sorted(unknown)}")
-    cfg = {**DEFAULT_ARCH, **arch}
-    if not _is_int(cfg["in_dim"]) or cfg["in_dim"] < 1:
-        raise ValueError(f"arch requires in_dim (vocabulary size), got {cfg['in_dim']!r}")
-    for key in ("conv_dims", "mlp_hidden"):
-        dims = cfg[key]
-        if not isinstance(dims, (list, tuple)) or not all(_is_int(d) and d > 0 for d in dims):
-            raise ValueError(f"{key} must be a list of positive integers, got {dims!r}")
-        cfg[key] = list(dims)
-    if not cfg["conv_dims"]:
-        raise ValueError("conv_dims needs at least one layer")
-    ratio = cfg["pooling_ratio"]
-    if not isinstance(ratio, numbers.Real) or isinstance(ratio, bool) or not 0.0 < ratio <= 1.0:
-        raise ValueError(f"pooling_ratio must be in (0, 1], got {ratio!r}")
-    for key, allowed in _ARCH_CHOICES.items():
-        if cfg[key] not in allowed:
-            raise ValueError(f"{key} must be one of {allowed}, got {cfg[key]!r}")
-    return cfg
+    """DEFAULT_ARCH overlaid with ``arch``, every value checked by its
+    declaration in ``settings``; raises ValueError naming the first bad key."""
+    cfg = settings.check(settings.ARCH, arch, "architecture")
+    if cfg["in_dim"] is None:
+        raise ValueError("arch requires in_dim (vocabulary size)")
+    return {**cfg, "conv_dims": list(cfg["conv_dims"]), "mlp_hidden": list(cfg["mlp_hidden"])}
 
 
 def build_model(arch: dict, seed: int = 0, vocab_fingerprint: str = "") -> GnnModel:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import numbers
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -14,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nncore as nc
+from . import settings
 from .errors import (
     BadLabelError,
     CorruptFileError,
@@ -22,7 +22,7 @@ from .errors import (
     VersionMismatchError,
     VocabMismatchError,
 )
-from .graph2vec import GnnModel, build_model, check_arch, classify, embed, pair_similarity
+from .graph2vec import GnnModel, build_model, classify, embed, pair_similarity
 from .graphdata import GraphPair, GraphTensors
 from .nncore import contrastive_loss, cross_entropy
 
@@ -32,52 +32,17 @@ PIRACY = "Piracy"
 NON_PIRACY = "Non_Piracy"
 
 
-@dataclass
 class TrainConfig:
-    epochs: int = 120
-    batch_size: int = 8
-    lr: float = 1e-2
-    optimizer: str = "adam"  # or "sgd"
-    pooling_ratio: float = 0.5
-    margin: float = 0.5
-    delta: float = 0.5
-    seed: int = 0
-    mini_test_interval: int = 10
-    readout: str = "sum"
-    conv_dims: list[int] = field(default_factory=lambda: [64, 64])
-    activation: str = "relu"
-    mlp_hidden: list[int] = field(default_factory=lambda: [32])
-    directed_messages: bool = False
+    """Training hyper-parameters: every key under ``train:`` plus ``seed``,
+    each defaulted and checked by its declaration in ``settings``."""
 
-    def __post_init__(self) -> None:
-        for key in ("epochs", "batch_size", "mini_test_interval", "seed"):
-            value = getattr(self, key)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-        if self.epochs < 0 or self.seed < 0:
-            raise ValueError("epochs and seed must be >= 0")
-        if self.batch_size <= 0 or self.lr <= 0 or self.mini_test_interval <= 0:
-            raise ValueError("batch_size, lr and mini_test_interval must be positive")
-        if not 0.0 <= self.margin < 1.0:
-            raise ValueError(f"margin must be in [0, 1), got {self.margin}")
-        if not -1.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (-1, 1), got {self.delta}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
-        # in_dim and head are fixed per task at training time; check the rest
-        check_arch(self.arch(in_dim=1, head="classifier"))
+    def __init__(self, **values):
+        fields = {**settings.TRAIN, "seed": settings.TOP["seed"]}
+        vars(self).update(settings.check(fields, values, "train"))
 
     def arch(self, in_dim: int, head: str) -> dict:
-        return {
-            "in_dim": in_dim,
-            "conv_dims": copy.copy(self.conv_dims),
-            "activation": self.activation,
-            "pooling_ratio": self.pooling_ratio,
-            "readout": self.readout,
-            "head": head,
-            "mlp_hidden": copy.copy(self.mlp_hidden),
-            "directed_messages": self.directed_messages,
-        }
+        model = {name: copy.copy(getattr(self, name)) for name in settings.MODEL}
+        return {"in_dim": in_dim, "head": head, **model}
 
 
 @dataclass
@@ -187,7 +152,8 @@ def _onehot(label) -> np.ndarray:
     raise BadLabelError(f"classifier label must be {TROJAN!r} or {NON_TROJAN!r}, got {label!r}")
 
 
-def _is_trojan(label) -> bool:
+def is_trojan(label) -> bool:
+    """True for a Trojan label; raises BadLabelError for an unknown one."""
     return bool(_onehot(label)[0, 0] == 1.0)
 
 
@@ -204,7 +170,7 @@ def evaluate_classifier(model: GnnModel, dataset: list[GraphTensors]) -> EvalRep
     outcomes, per_item = [], []
     for t in dataset:
         verdict = predict_ht(model, t)
-        outcomes.append((verdict == TROJAN, _is_trojan(t.label)))
+        outcomes.append((verdict == TROJAN, is_trojan(t.label)))
         per_item.append({"graph_id": t.graph_id, "label": t.label, "prediction": verdict})
     return _tally(outcomes, per_item)
 

@@ -105,6 +105,13 @@ class TestConfigHandling:
         # each bad value must be caught before a single design is extracted
         monkeypatch.setattr(cli, "_extract_one", lambda *a: pytest.fail("design was read"))
         designs = sorted(p for p in ht_corpus_dir.iterdir() if p.is_dir())
+        manifest = json.loads((ht_corpus_dir / "labels.json").read_text(encoding="utf-8"))
+        manifest[designs[0].name]["label"] = "Trojn"
+        typo = tmp_path / "typo.json"
+        typo.write_text(json.dumps(manifest), encoding="utf-8")
+        garbled, undecodable = tmp_path / "garbled.json", tmp_path / "undecodable.json"
+        garbled.write_text("{not json", encoding="utf-8")
+        undecodable.write_bytes(b'{"a": "\xff"}')
         cases = [
             ("train-ht", {"train": {"lr": -1.0}}, "bad train config"),
             ("train-ht", {"seed": "abc"}, "seed must be"),
@@ -122,10 +129,21 @@ class TestConfigHandling:
             ("train-ht", {"flags": ["--leave-out", "cpu"]}, "no item belongs to circuit 'cpu'"),
             ("infer-ip", {"train": {"delta": 2.0}, "flags": [str(p) for p in designs[:2]]},
              "bad train config"),
+            ("train-ht", {"train": {"seed": 7}}, "unknown train keys: seed"),
+            ("train-ht", {"corpus": 5}, "corpus must be"),
+            ("train-ht", {"labels": 5}, "labels must be"),
+            ("embed", {"checkpoint": ["a"]}, "checkpoint must be"),
+            ("train-ht", {"top": 5}, "top must be"),
+            ("train-ht", {"train": {"lr": math.nan}}, "lr must be"),
+            ("train-ht", {"train": {"lr": math.inf}}, "lr must be"),
+            ("train-ht", {"train": {"lr": True}}, "lr must be"),
+            ("train-ht", {"labels": str(typo)}, f"{designs[0].name!r}: classifier label"),
+            ("train-ht", {"labels": str(garbled)}, f"{garbled}: unreadable manifest"),
+            ("train-ht", {"labels": str(undecodable)}, f"{undecodable}: unreadable manifest"),
         ]
         for command, keys, message in cases:
             flags = keys.pop("flags", [])
-            cfg = write_config(tmp_path / "c.yml", corpus=str(ht_corpus_dir), **keys)
+            cfg = write_config(tmp_path / "c.yml", **{"corpus": str(ht_corpus_dir), **keys})
             argv = [command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]
             assert main(argv) == 2, keys
             err = capsys.readouterr().err
@@ -142,6 +160,9 @@ class TestConfigHandling:
                     "margin", "delta", "mini_test_interval", "readout",
                     "conv_dims", "activation", "mlp_hidden", "directed_messages"):
             assert f"{key}:" in text
+        assert "seed:" not in text.split("  train:")[1]
+        for default in ("(default 120)", "(default 0.01)", "(default [64, 64])"):
+            assert default in text
 
     def test_every_subcommand_accepts_the_shared_flags(self):
         parser = build_parser()

@@ -149,6 +149,10 @@ class TestTrainConfig:
             {"activation": "foo"},
             {"mlp_hidden": [4, 0]},
             {"seed": -1},
+            {"lr": math.nan},
+            {"lr": math.inf},
+            {"lr": True},
+            {"margin": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
