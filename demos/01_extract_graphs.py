@@ -4,6 +4,7 @@ Shows the intermediate artifacts most people ask about first: the flattened
 source, the chosen top module, and the node/edge counts of the syntax tree
 versus the data-flow graph.
 """
+import tempfile
 from pathlib import Path
 
 from hwgnn import AST, DFG, graph_to_json, hw2graph, load_design_dir
@@ -33,9 +34,11 @@ def main() -> None:
     eqs = [n for n in dfg.nodes if n.label == "Eq"]
     print(f"\ncomparator (Eq) nodes in this design: {len(eqs)}")
 
-    out = Path("/tmp") / f"{design_dir.name}.dfg.json"
-    out.write_text(graph_to_json(dfg), encoding="utf-8")
-    print(f"canonical JSON written to {out}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / f"{design_dir.name}.dfg.json"
+        out.write_text(graph_to_json(dfg), encoding="utf-8")
+        print(f"canonical JSON: {out.stat().st_size} bytes written to {out.name} "
+              f"(in a temporary directory, removed on exit)")
 
 
 if __name__ == "__main__":

@@ -96,6 +96,9 @@ class Run:
         self.kind, self.abstraction = c["kind"].upper(), c["abstraction"].upper()
         self.out = Path(c["out"])
         self.cache = None if c["cache"] is None else Path(c["cache"])
+        for key, p in (("out", self.out), ("cache", self.cache)):
+            if p is not None and any(q.exists() and not q.is_dir() for q in (p, *p.parents)):
+                raise ConfigError(f"{key} must name a directory, not a file: {p}")
         self.train = TrainConfig(**c["train"], seed=self.seed)
 
     def _path(self, key: str, exists, problem: str) -> Path:

@@ -27,6 +27,10 @@ class AmbiguousTopModuleError(HwgnnError):
     pass
 
 
+class UndecodableFileError(HwgnnError):
+    pass
+
+
 # --- parsing ---
 
 class VerilogSyntaxError(HwgnnError):

@@ -27,22 +27,23 @@ class GraphAdj:
 
 
 def build_adjacency(n: int, edges, directed: bool = False) -> GraphAdj:
-    neigh: list[set[int]] = [set() for _ in range(n)]
-    for s, d in edges:
-        neigh[s].add(d)
-        if not directed:
-            neigh[d].add(s)
-    src: list[int] = []
-    dst: list[int] = []
+    """Edge (s, d) sends d's features to s, and s's to d unless directed.
+    Messages run receiver-major, senders ascending, each pair once."""
+    E = np.asarray(edges, dtype=np.intp).reshape(len(edges), 2)
+    if E.size and (E.min() < 0 or E.max() >= n):
+        raise ShapeMismatchError(f"edge endpoint out of range for {n} nodes")
+    recv, send = E[:, 0], E[:, 1]
+    if not directed:
+        recv, send = np.concatenate((recv, send)), np.concatenate((send, recv))
+    # np.unique by hand: np.unique imports numpy.ma, a megabyte of memory
+    keys = np.sort(recv * n + send)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    dst, src = np.divmod(keys[first], n)
+    deg = np.bincount(dst, minlength=n)
     inv = np.zeros((n, 1))
-    for v in range(n):
-        others = sorted(neigh[v])
-        for u in others:
-            src.append(u)
-            dst.append(v)
-        if others:
-            inv[v, 0] = 1.0 / len(others)
-    return GraphAdj(n, np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp), inv)
+    inv[deg > 0, 0] = 1.0 / deg[deg > 0]
+    return GraphAdj(n, src, dst, inv)
 
 
 class ConvLayer:
@@ -158,7 +159,10 @@ def pool_graph(X_prop: nc.Tensor, alpha: nc.Tensor, P: list[int],
 def embed(model: GnnModel, tensors) -> nc.Tensor:
     """conv stack -> score -> top-k -> gated pool and readout; one row out."""
     X = nc.constant(tensors.X)
-    adj = build_adjacency(X.rows, tensors.A, model.arch["directed_messages"])
+    directed = model.arch["directed_messages"]
+    adj = tensors.adjacency.get(directed)
+    if adj is None:
+        adj = tensors.adjacency[directed] = build_adjacency(X.rows, tensors.A, directed)
     for layer in model.conv_stack:
         X = layer.forward(X, adj)
     alpha = model.scorer.forward(X, adj)

@@ -46,6 +46,9 @@ class GraphTensors:
     A: list[tuple[int, int]]
     graph_id: str
     label: object = None
+    # graph2vec.embed's message arrays by directed_messages, built on first
+    # use: A must not change after the first embed
+    adjacency: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from ..errors import SchemaViolationError
 from .graph import AST, DFG, GraphNode, HWGraph
+from .source import read_text
 
 
 def graph_to_json(g: HWGraph) -> str:
@@ -101,4 +102,4 @@ def write_graph(g: HWGraph, path: Path) -> None:
 
 
 def read_graph(path: Path) -> HWGraph:
-    return graph_from_json(path.read_text(encoding="utf-8"))
+    return graph_from_json(read_text(path))

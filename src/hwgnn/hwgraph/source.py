@@ -10,6 +10,7 @@ from ..errors import (
     DuplicateModuleError,
     EmptySourceError,
     NoTopModuleError,
+    UndecodableFileError,
     UnresolvedIncludeError,
 )
 
@@ -181,10 +182,19 @@ def find_top_module(flat: FlatDesign) -> str:
     return candidates[0]
 
 
+def read_text(path: Path) -> str:
+    """The file's UTF-8 text; raises UndecodableFileError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableFileError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_design_dir(root: Path, abstraction: str = RTL) -> SourceUnit:
     """Read every .v file under ``root`` (sorted, recursive)."""
     root = Path(root)
     if not root.is_dir():
         raise EmptySourceError(f"design directory not found: {root}")
-    files = [(p, p.read_text(encoding="utf-8")) for p in sorted(root.rglob("*.v"))]
+    files = [(p, read_text(p)) for p in sorted(root.rglob("*.v"))]
     return SourceUnit(files=files, abstraction=abstraction)

@@ -181,10 +181,11 @@ def evaluate_pairs(
     tensors_by_id: dict[str, GraphTensors],
     delta: float = 0.5,
 ) -> EvalReport:
+    names = dict.fromkeys(name for pair in pairs for name in (pair.first, pair.second))
+    rows = {name: embed(model, tensors_by_id[name]) for name in names}
     outcomes, per_item = [], []
     for pair in pairs:
-        t1, t2 = tensors_by_id[pair.first], tensors_by_id[pair.second]
-        sim = pair_similarity(model, embed(model, t1), embed(model, t2)).item()
+        sim = pair_similarity(model, rows[pair.first], rows[pair.second]).item()
         predicted = sim > delta
         outcomes.append((predicted, pair.label == 1))
         per_item.append(
@@ -208,12 +209,17 @@ def _shuffled_forever(items: list, rng):
             yield items[i]
 
 
+_CEILING = 1.0  # the best F1 or accuracy a validation can score
+
+
 def _fit(model: GnnModel, cfg: TrainConfig, n_train: int, next_batch, item_loss,
          metric_name: str, metric) -> Checkpoint:
     """The loop both trainers share.  Each step sums ``item_loss`` over
     ``next_batch()`` and takes one optimizer step; ``metric()`` is scored
     before training, every ``mini_test_interval`` steps and at the end, and
-    the parameters of the first best score are restored."""
+    the parameters of the first best score are restored.  Training stops at
+    the first score of 1.0: no later score can beat it, so the rest of the
+    run could change neither the restored parameters nor ``best_metric``."""
     params = model.params()
     adam = nc.Adam(params, lr=cfg.lr) if cfg.optimizer == "adam" else None
     history: list[dict] = []
@@ -230,7 +236,8 @@ def _fit(model: GnnModel, cfg: TrainConfig, n_train: int, next_batch, item_loss,
     step = 0
     last_finite = math.inf
     try:
-        for _ in range(cfg.epochs * max(1, math.ceil(n_train / cfg.batch_size))):
+        steps = cfg.epochs * max(1, math.ceil(n_train / cfg.batch_size))
+        while step < steps and best_metric < _CEILING:
             nc.zero_grads(params)
             loss = None
             for item in next_batch():
@@ -247,7 +254,8 @@ def _fit(model: GnnModel, cfg: TrainConfig, n_train: int, next_batch, item_loss,
             step += 1
             if step % cfg.mini_test_interval == 0:
                 validate(step)
-        validate(step)
+        if best_metric < _CEILING:
+            validate(step)
     except NonFiniteError as exc:
         # blown-up weights surface as Inf in the next forward pass, well
         # before the loss tensor itself could ever hold a NaN

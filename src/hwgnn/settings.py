@@ -101,7 +101,8 @@ SETTINGS = [
             "hold out one base circuit instead of splitting randomly"),
     Setting("top", "jobs", None, integer(1), "worker processes for `graph` (default: all cores)"),
     Setting("top", "train", {}, MAPPING, "training hyper-parameters"),
-    Setting("train", "epochs", 120, integer(0), "passes over the training set"),
+    Setting("train", "epochs", 120, integer(0),
+            "most passes over the training set (stops once validation scores 1.0)"),
     Setting("train", "batch_size", 8, integer(1), "graphs or pairs per step"),
     Setting("train", "lr", 0.01, real("(0, inf)"), "learning rate"),
     Setting("train", "optimizer", "adam", choice("adam", "sgd"), "parameter update rule"),

@@ -150,6 +150,17 @@ class TestConfigHandling:
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert message in err, err
 
+    def test_out_or_cache_naming_a_file_exits_2(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("keep", encoding="utf-8")
+        d = make_design(tmp_path, "d1")
+        for argv in (["graph", "--out", str(afile), str(d)],
+                     ["graph", "--out", str(afile / "sub"), str(d)],
+                     ["embed", "--cache", str(afile), str(d)]):
+            assert main(argv) == 2, argv
+            assert "must name a directory, not a file" in capsys.readouterr().err
+        assert afile.read_text(encoding="utf-8") == "keep"
+
     def test_help_documents_every_config_key(self):
         text = build_parser().format_help()
         for key in ("corpus", "labels", "kind", "abstraction", "top", "cache",
@@ -368,6 +379,17 @@ class TestTrainHt:
         cfg = write_config(tmp_path / "c.yml", corpus=str(root), ratio=0.25,
                            train={"epochs": 1, "conv_dims": [4], "mlp_hidden": [4]})
         assert main(["train-ht", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_design_file_that_is_not_utf8_fails_with_exit_1(self, ht_corpus_dir, tmp_path,
+                                                             capsys):
+        root = tmp_path / "corpus"
+        shutil.copytree(ht_corpus_dir, root)
+        bad = sorted(root.glob("*/*.v"))[0]
+        bad.write_bytes(bad.read_bytes() + b"\xff")
+        cfg = write_config(tmp_path / "c.yml", corpus=str(root))
+        assert main(["train-ht", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "UndecodableFileError" in err and bad.name in err
 
     def test_cache_directory_is_populated_and_transparent(self, ht_corpus_dir, tmp_path):
         cache = tmp_path / "cache"

@@ -8,6 +8,7 @@ from hwgnn.errors import (
     DuplicateModuleError,
     EmptySourceError,
     NoTopModuleError,
+    UndecodableFileError,
     UnresolvedIncludeError,
 )
 from hwgnn.hwgraph import SourceUnit, find_top_module, flatten, load_design_dir
@@ -157,3 +158,8 @@ class TestLoadDesignDir:
     def test_missing_dir(self, tmp_path):
         with pytest.raises(EmptySourceError, match="not found"):
             load_design_dir(tmp_path / "nope")
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        (tmp_path / "a.v").write_bytes(MOD.encode("ascii") + b"\xff")
+        with pytest.raises(UndecodableFileError, match=r"a\.v: not UTF-8"):
+            load_design_dir(tmp_path)

@@ -1,5 +1,6 @@
 """Graph embedding model: convolution, scoring, top-k pooling, readout,
 heads, and the end-to-end gradient."""
+import dataclasses
 import math
 
 import numpy as np
@@ -56,7 +57,52 @@ def permuted(t: GraphTensors, perm) -> GraphTensors:
     )
 
 
+def loop_adjacency(n, edges, directed):
+    """The per-node-set build that build_adjacency vectorizes: the oracle."""
+    neigh = [set() for _ in range(n)]
+    for s, d in edges:
+        neigh[s].add(d)
+        if not directed:
+            neigh[d].add(s)
+    src, dst = [], []
+    inv = np.zeros((n, 1))
+    for v in range(n):
+        others = sorted(neigh[v])
+        src += others
+        dst += [v] * len(others)
+        if others:
+            inv[v, 0] = 1.0 / len(others)
+    return np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp), inv
+
+
+@st.composite
+def edge_lists(draw):
+    """n >= 1 nodes (some isolated) and edges with duplicates and self-loops."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    node = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=30))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=5))
+    return n, edges
+
+
 class TestAdjacency:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists(), st.booleans())
+    def test_matches_the_per_node_loop_exactly(self, graph, directed):
+        n, edges = graph
+        adj = build_adjacency(n, edges, directed)
+        for got, want in zip((adj.msg_src, adj.msg_dst, adj.inv_deg),
+                             loop_adjacency(n, edges, directed)):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("edge", [(0, 3), (3, 0), (0, -1), (-1, 0)])
+    def test_endpoint_out_of_range_is_typed(self, edge):
+        with pytest.raises(ShapeMismatchError, match="out of range for 3 nodes"):
+            build_adjacency(3, [(0, 1), edge])
+
     def test_undirected_with_dedup_and_self_loop_once(self):
         adj = build_adjacency(3, [(0, 1), (1, 0), (2, 2), (2, 2)])
         pairs = sorted(zip(adj.msg_src.tolist(), adj.msg_dst.tolist()))
@@ -266,6 +312,24 @@ def alpha_of(model, t):
 
 
 class TestEmbed:
+    def test_message_arrays_kept_per_direction_setting(self):
+        t = GraphTensors(X=np.eye(3), A=[(0, 1), (1, 2)], graph_id="g")
+        undirected = build_model({"in_dim": 3, "conv_dims": [2]}, seed=1)
+        directed = build_model({"in_dim": 3, "conv_dims": [2], "directed_messages": True},
+                               seed=1)
+        first = embed(undirected, t).data
+        assert list(t.adjacency) == [False]
+        kept = t.adjacency[False]
+        embed(directed, t)
+        assert sorted(t.adjacency) == [False, True]
+        assert t.adjacency[False] is kept
+        assert t.adjacency[True].msg_src.size == 2
+        assert kept.msg_src.size == 4
+        assert np.array_equal(embed(undirected, t).data, first)
+        # the kept arrays take no part in equality or repr
+        kept_field = next(f for f in dataclasses.fields(t) if f.name == "adjacency")
+        assert not kept_field.compare and "adjacency" not in repr(t)
+
     def test_deterministic(self):
         model = tiny_model()
         t = random_graph_tensors(np.random.default_rng(3), n_nodes=9, n_labels=4)

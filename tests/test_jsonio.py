@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import ast_of, dfg_of
-from hwgnn.errors import SchemaViolationError
+from hwgnn.errors import SchemaViolationError, UndecodableFileError
 from hwgnn.hwgraph import (
     HWGraph,
     GraphNode,
@@ -124,6 +124,12 @@ class TestRoundTrip:
         write_graph(g, path)
         assert read_graph(path) == g
         assert path.read_bytes().endswith(b"}\n")
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(graph_to_json(tiny_dfg()).encode("utf-8") + b"\xff")
+        with pytest.raises(UndecodableFileError, match=r"g\.json: not UTF-8"):
+            read_graph(path)
 
 
 def violation(doc):

@@ -2,6 +2,7 @@
 import json
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -96,6 +97,13 @@ def pair_corpus():
     train_pairs = pos[:8] + neg[:4]
     val_pairs = pos[8:] + neg[4:]
     return train_pairs, val_pairs, tensors
+
+
+def contradicted(pairs):
+    """``pairs`` plus its first pair under the opposite label: accuracy
+    cannot reach 1.0, so training never stops at the ceiling."""
+    first = pairs[0]
+    return pairs + [GraphPair(first.first, first.second, -first.label)]
 
 
 def forced_classifier(logits, in_dim=2):
@@ -455,6 +463,22 @@ class TestEvaluate:
             assert item["similarity"] == pytest.approx(want, abs=1e-12)
             assert item["prediction"] == ("Piracy" if item["similarity"] > 0.5 else "Non_Piracy")
 
+    def test_pairs_report_equals_embedding_each_member_separately(self):
+        model = build_model({"in_dim": 2, "conv_dims": [4], "head": "siamese"}, seed=3)
+        train_pairs, val_pairs, tensors = pair_corpus()
+        pairs = train_pairs + val_pairs  # most designs appear in several pairs
+        outcomes, per_item = [], []
+        for pair in pairs:
+            sim = lp.pair_similarity_value(model, tensors[pair.first], tensors[pair.second])
+            outcomes.append((sim > 0.5, pair.label == 1))
+            per_item.append({"first": pair.first, "second": pair.second, "label": pair.label,
+                             "similarity": sim,
+                             "prediction": "Piracy" if sim > 0.5 else "Non_Piracy"})
+        c = Counter(outcomes)
+        want = lp.compute_metrics(c[True, True], c[True, False], c[False, True],
+                                  c[False, False], per_item)
+        assert lp.evaluate_pairs(model, pairs, tensors, delta=0.5) == want
+
     def test_pairs_delta_moves_the_boundary(self):
         model = build_model({"in_dim": 2, "conv_dims": [4], "head": "siamese"}, seed=3)
         _, _, tensors = pair_corpus()
@@ -464,6 +488,20 @@ class TestEvaluate:
         strict = lp.evaluate_pairs(model, pairs, tensors, delta=1.0)
         assert lenient.tp == 1
         assert strict.fn == 1
+
+
+@pytest.fixture
+def adams(monkeypatch):
+    """Every Adam optimizer built while the test runs; ``t`` counts its steps."""
+    made = []
+
+    class Recording(nc.Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(nc, "Adam", Recording)
+    return made
 
 
 @pytest.fixture(scope="module")
@@ -528,6 +566,15 @@ class TestClassifierTraining:
             lp.train_graph_classifier([], val, tiny_cfg())
         with pytest.raises(ValueError):
             lp.train_graph_classifier(train, [], tiny_cfg())
+
+    def test_training_stops_at_the_first_perfect_validation(self, adams):
+        train, val = classifier_corpus()
+        ckpt = lp.train_graph_classifier(train, val, tiny_cfg())
+        s = ckpt.best_step
+        assert s > 0 and ckpt.best_metric == 1.0
+        assert all(h["f1"] < 1.0 for h in ckpt.history[:-1])
+        assert ckpt.history[-1] == {"step": s, "f1": 1.0}
+        assert adams[0].t == s  # of the 50 * ceil(20 / 4) = 250 steps allowed
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergent_run_aborts_with_context(self):
@@ -596,11 +643,35 @@ class TestPairTraining:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergent_run_aborts_with_context(self):
         train_pairs, val_pairs, tensors = pair_corpus()
+        val_pairs = contradicted(val_pairs)
         cfg = tiny_cfg(epochs=2, optimizer="sgd", lr=1e200, activation="relu",
                        conv_dims=[4, 4])
         with pytest.raises(DivergenceError) as exc:
             lp.train_pair_model(train_pairs, val_pairs, tensors, cfg)
         assert exc.value.step >= 1
+
+    def test_run_below_the_ceiling_takes_every_step(self, adams):
+        train_pairs, val_pairs, tensors = pair_corpus()
+        val_pairs = contradicted(val_pairs)
+        ckpt = lp.train_pair_model(train_pairs, val_pairs, tensors,
+                                   tiny_cfg(epochs=2, mini_test_interval=3))
+        assert ckpt.best_metric < 1.0
+        assert adams[0].t == 6  # 2 epochs of ceil(12 / 4) steps
+        assert [h["step"] for h in ckpt.history] == [0, 3, 6, 6]
+
+    def test_perfect_initial_validation_takes_no_step(self):
+        # without the contradictory pair, the untrained model already scores
+        # accuracy 1.0, so the run that would diverge returns untouched
+        train_pairs, val_pairs, tensors = pair_corpus()
+        cfg = tiny_cfg(epochs=2, optimizer="sgd", lr=1e200, activation="relu",
+                       conv_dims=[4, 4])
+        ckpt = lp.train_pair_model(train_pairs, val_pairs, tensors, cfg)
+        assert ckpt.best_metric == 1.0
+        assert ckpt.best_step == 0
+        assert ckpt.history == [{"step": 0, "accuracy": 1.0}]
+        untrained = build_model(ckpt.model.arch, seed=cfg.seed)
+        for p, q in zip(ckpt.model.params(), untrained.params()):
+            assert np.array_equal(p.data, q.data), p.name
 
 
 def reheader(blob: bytes, mutate) -> bytes:
