@@ -5,7 +5,7 @@ data-flow graphs, embeds them with a small message-passing network built on
 an in-house autodiff core, and trains two task heads: a Trojan/clean graph
 classifier and a Siamese cosine-similarity model for IP-piracy detection.
 """
-from . import errors, graph2vec, graphdata, hwgraph, learnpipe, nncore, synth
+from . import errors, graph2vec, graphdata, hwgraph, learnpipe, nncore
 from .errors import HwgnnError
 from .graph2vec import DEFAULT_ARCH, GnnModel, build_model, classify, embed, pair_similarity
 from .graphdata import (
@@ -62,7 +62,6 @@ __all__ = [
     "hwgraph",
     "learnpipe",
     "nncore",
-    "synth",
     "HwgnnError",
     "DEFAULT_ARCH",
     "GnnModel",

@@ -356,7 +356,7 @@ def cmd_infer_ip(run: Run) -> int:
     a, b = Path(run.args.design_a), Path(run.args.design_b)
     ta, tb = _encode_inputs(run, [a, b], vocab)
     sim = learnpipe.pair_similarity_value(model, ta, tb)
-    verdict = learnpipe.PIRACY if sim > run.train.delta else learnpipe.NON_PIRACY
+    verdict = learnpipe.piracy_verdict(sim, run.train.delta)
     print(f"{a.name}\t{b.name}\tsimilarity={sim:.6f}\tverdict={verdict}")
     return 0
 

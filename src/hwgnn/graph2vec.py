@@ -26,7 +26,7 @@ class GraphAdj:
     inv_deg: np.ndarray  # n x 1, zero rows for isolated nodes
 
 
-def build_adjacency(n: int, edges, directed: bool = False) -> GraphAdj:
+def build_adjacency(n: int, edges, directed: bool) -> GraphAdj:
     """Edge (s, d) sends d's features to s, and s's to d unless directed.
     Messages run receiver-major, senders ascending, each pair once."""
     E = np.asarray(edges, dtype=np.intp).reshape(len(edges), 2)
@@ -111,7 +111,7 @@ def check_arch(arch: dict) -> dict:
     return {**cfg, "conv_dims": list(cfg["conv_dims"]), "mlp_hidden": list(cfg["mlp_hidden"])}
 
 
-def build_model(arch: dict, seed: int = 0, vocab_fingerprint: str = "") -> GnnModel:
+def build_model(arch: dict, seed: int, vocab_fingerprint: str = "") -> GnnModel:
     cfg = check_arch(arch)
     rng = np.random.default_rng(seed)
     dims = [cfg["in_dim"]] + cfg["conv_dims"]
@@ -147,8 +147,7 @@ def topk_filter(alpha, pr: float, n: int) -> list[int]:
     return np.sort(np.lexsort((np.arange(n), -values))[:k]).tolist()
 
 
-def pool_graph(X_prop: nc.Tensor, alpha: nc.Tensor, P: list[int],
-               readout: str = "sum") -> nc.Tensor:
+def pool_graph(X_prop: nc.Tensor, alpha: nc.Tensor, P: list[int], readout: str) -> nc.Tensor:
     """Gate rows by tanh(score), keep rows P, and sum or average them."""
     keep = np.asarray(P, dtype=np.intp)
     if keep.size == 0:

@@ -12,14 +12,18 @@ from pathlib import Path
 
 import numpy as np
 
+from . import settings
 from .errors import (
     CacheCorruptError,
+    CorruptFileError,
     DegenerateSplitError,
     EmptyCorpusError,
+    ShapeMismatchError,
     UnknownCircuitError,
     UnknownLabelError,
 )
 from .hwgraph import AST_LABELS, DFG, DFG_LABELS, GraphNode, HWGraph
+from .hwgraph.source import read_text
 
 
 @dataclass
@@ -43,12 +47,21 @@ class NodeVocab:
 @dataclass
 class GraphTensors:
     X: np.ndarray  # |V| x d one-hot rows
-    A: list[tuple[int, int]]
+    A: np.ndarray  # m x 2 edges (src, dst), stored as C-contiguous <i8
     graph_id: str
     label: object = None
     # graph2vec.embed's message arrays by directed_messages, built on first
     # use: A must not change after the first embed
     adjacency: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        try:
+            A = np.asarray(self.A) if len(self.A) else np.empty((0, 2), dtype="<i8")
+        except (TypeError, ValueError):  # no length, or ragged rows
+            A = np.empty(0)
+        if A.ndim != 2 or A.shape[1] != 2 or A.dtype.kind not in "iu":
+            raise ShapeMismatchError(f"edges of {self.graph_id!r} must be m x 2 integers")
+        self.A = np.ascontiguousarray(A, dtype="<i8")
 
 
 @dataclass
@@ -100,12 +113,14 @@ def encode(g: HWGraph, vocab: NodeVocab, label=None) -> GraphTensors:
         if col is None:
             raise UnknownLabelError(f"label {n.label!r} missing from the vocabulary")
         X[n.id, col] = 1.0
-    return GraphTensors(X=X, A=list(g.edges), graph_id=g.design_name, label=label)
+    return GraphTensors(X=X, A=g.edges, graph_id=g.design_name, label=label)
 
 
 def split(ids: list, ratio: float, seed: int) -> DatasetSplit:
-    if not 0.0 < ratio < 1.0:
-        raise DegenerateSplitError(f"ratio must be in (0, 1), got {ratio}")
+    try:
+        settings.TOP["ratio"].check(ratio)
+    except ValueError as exc:
+        raise DegenerateSplitError(str(exc)) from None
     if len(ids) < 2:
         raise DegenerateSplitError("need at least 2 items to split")
     n_test = round(ratio * len(ids))
@@ -144,8 +159,12 @@ def save_vocab(vocab: NodeVocab, path: Path) -> None:
 
 
 def load_vocab(path: Path) -> NodeVocab:
-    labels = path.read_text(encoding="utf-8").splitlines()
-    return NodeVocab(labels)
+    """The vocabulary saved at ``path``; a file that is not UTF-8, or whose
+    lines are unsorted or repeat, raises a typed error naming it."""
+    try:
+        return NodeVocab(read_text(path).splitlines())
+    except ValueError as exc:
+        raise CorruptFileError(f"{path}: {exc}") from None
 
 
 # --- disk cache ---
@@ -171,25 +190,13 @@ def _cache_path(root: Path, key: str) -> Path:
 def cache_put(root: Path, key: str, tensors: GraphTensors) -> Path:
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    header = json.dumps(
-        {
-            "graph_id": tensors.graph_id,
-            "label": tensors.label,
-            "rows": int(tensors.X.shape[0]),
-            "cols": int(tensors.X.shape[1]),
-            "edges": len(tensors.A),
-        },
-        ensure_ascii=False,
-    ).encode("utf-8")
+    rows, cols = tensors.X.shape
+    header = json.dumps({"graph_id": tensors.graph_id, "label": tensors.label, "rows": rows,
+                         "cols": cols, "edges": len(tensors.A)}, ensure_ascii=False)
+    header = header.encode("utf-8")
     x_bytes = np.ascontiguousarray(tensors.X, dtype="<f8").tobytes()
-    edge_arr = np.asarray(tensors.A, dtype="<i8").reshape(len(tensors.A), 2)
-    payload = (
-        _CACHE_MAGIC
-        + struct.pack("<Q", len(header))
-        + header
-        + x_bytes
-        + edge_arr.tobytes()
-    )
+    payload = b"".join((_CACHE_MAGIC, struct.pack("<Q", len(header)), header, x_bytes,
+                        tensors.A.tobytes()))
     digest = hashlib.sha256(payload).digest()
     path = _cache_path(root, key)
     tmp = path.with_suffix(".tmp")
@@ -238,17 +245,10 @@ def cache_get(root: Path, key: str) -> GraphTensors | None:
     expected = offset + x_size + n_edges * 16
     if len(payload) != expected:
         raise CacheCorruptError(f"{path}: payload length mismatch")
-    X = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset).reshape(rows, cols)
-    offset += x_size
-    edges = np.frombuffer(payload, dtype="<i8", count=n_edges * 2, offset=offset).reshape(
-        n_edges, 2
-    )
-    return GraphTensors(
-        X=X.copy(),
-        A=[(int(s), int(d)) for s, d in edges],
-        graph_id=header["graph_id"],
-        label=header["label"],
-    )
+    X = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
+    A = np.frombuffer(payload, dtype="<i8", count=n_edges * 2, offset=offset + x_size)
+    return GraphTensors(X=X.reshape(rows, cols).copy(), A=A.reshape(n_edges, 2),
+                        graph_id=header["graph_id"], label=header["label"])
 
 
 def encode_cached(g: HWGraph, vocab: NodeVocab, root: Path, label=None) -> GraphTensors:

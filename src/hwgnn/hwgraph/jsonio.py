@@ -40,7 +40,7 @@ def graph_from_json(doc) -> HWGraph:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SchemaViolationError("", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaViolationError("", "top level must be an object")

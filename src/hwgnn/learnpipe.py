@@ -90,11 +90,13 @@ def pair_similarity_value(model: GnnModel, t1: GraphTensors, t2: GraphTensors) -
     return pair_similarity(model, embed(model, t1), embed(model, t2)).item()
 
 
-def predict_piracy(
-    model: GnnModel, t1: GraphTensors, t2: GraphTensors, delta: float = 0.5
-) -> str:
-    y = pair_similarity_value(model, t1, t2)
-    return PIRACY if y > delta else NON_PIRACY
+def piracy_verdict(similarity: float, delta: float) -> str:
+    """The piracy rule: a similarity above ``delta`` means Piracy."""
+    return PIRACY if similarity > delta else NON_PIRACY
+
+
+def predict_piracy(model: GnnModel, t1: GraphTensors, t2: GraphTensors, delta: float) -> str:
+    return piracy_verdict(pair_similarity_value(model, t1, t2), delta)
 
 
 # --- metrics ---
@@ -175,28 +177,17 @@ def evaluate_classifier(model: GnnModel, dataset: list[GraphTensors]) -> EvalRep
     return _tally(outcomes, per_item)
 
 
-def evaluate_pairs(
-    model: GnnModel,
-    pairs: list[GraphPair],
-    tensors_by_id: dict[str, GraphTensors],
-    delta: float = 0.5,
-) -> EvalReport:
+def evaluate_pairs(model: GnnModel, pairs: list[GraphPair],
+                   tensors_by_id: dict[str, GraphTensors], delta: float) -> EvalReport:
     names = dict.fromkeys(name for pair in pairs for name in (pair.first, pair.second))
     rows = {name: embed(model, tensors_by_id[name]) for name in names}
     outcomes, per_item = [], []
     for pair in pairs:
         sim = pair_similarity(model, rows[pair.first], rows[pair.second]).item()
-        predicted = sim > delta
-        outcomes.append((predicted, pair.label == 1))
-        per_item.append(
-            {
-                "first": pair.first,
-                "second": pair.second,
-                "label": pair.label,
-                "similarity": sim,
-                "prediction": PIRACY if predicted else NON_PIRACY,
-            }
-        )
+        verdict = piracy_verdict(sim, delta)
+        outcomes.append((verdict == PIRACY, pair.label == 1))
+        per_item.append({"first": pair.first, "second": pair.second, "label": pair.label,
+                         "similarity": sim, "prediction": verdict})
     return _tally(outcomes, per_item)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import settings
 from .errors import BadLabelError, NonFiniteError, ShapeMismatchError, ZeroVectorError
 
 _EPS_NORM = 1e-12
@@ -160,9 +161,8 @@ def _act(pre: np.ndarray, activation: str) -> np.ndarray:
         return np.maximum(pre, 0.0)
     if activation == "tanh":
         return np.tanh(pre)
-    if activation == "identity":
-        return pre
-    raise ValueError(f"activation must be relu, tanh or identity, got {activation!r}")
+    settings.ARCH["activation"].check(activation)  # identity, or ValueError
+    return pre
 
 
 def _act_grad(g: np.ndarray, pre: np.ndarray, out: np.ndarray, activation: str) -> np.ndarray:
@@ -249,8 +249,7 @@ def gate_pool(X: Tensor, alpha: Tensor, keep: np.ndarray, readout: str) -> Tenso
         raise ShapeMismatchError(f"{alpha.shape} scores for {X.rows} rows")
     if keep.size and (keep.min() < 0 or keep.max() >= X.rows):
         raise ShapeMismatchError(f"pooled index out of range for {X.rows} rows")
-    if readout not in ("sum", "mean"):
-        raise ValueError(f"readout mode must be sum or mean, got {readout!r}")
+    settings.ARCH["readout"].check(readout)
     gate = np.tanh(alpha.data[keep])
     rows = X.data[keep] * gate
     out_data = rows.sum(axis=0, keepdims=True) if readout == "sum" else rows.mean(
@@ -285,7 +284,7 @@ def cross_entropy(y_hat: Tensor, Y: np.ndarray) -> Tensor:
     return _make(out_data, (y_hat,), backward)
 
 
-def contrastive_loss(y_hat: Tensor, y: int, margin: float = 0.5) -> Tensor:
+def contrastive_loss(y_hat: Tensor, y: int, margin: float) -> Tensor:
     """For a similarity y_hat: +1 pairs pay 1 - y_hat, -1 pairs pay only
     the part of y_hat above the margin."""
     if y not in (1, -1):
@@ -353,13 +352,8 @@ def sgd_step(params: list[Parameter], lr: float) -> None:
 class Adam:
     """Adaptive-moment optimizer with bias correction."""
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list[Parameter], lr: float,
+                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2 = betas

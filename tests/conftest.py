@@ -31,6 +31,14 @@ def named(g, label, name=None):
     ]
 
 
+def assert_edges(A, want) -> None:
+    """A is the m x 2 C-contiguous <i8 edge array holding exactly ``want``."""
+    want = np.asarray(want, dtype="<i8").reshape(-1, 2)
+    assert A.dtype == np.dtype("<i8") and A.flags.c_contiguous
+    assert A.shape == want.shape
+    assert np.array_equal(A, want)
+
+
 def fd_gradcheck(build_loss, params, h=1e-5, tol=1e-4):
     """Analytic gradients vs central finite differences.
 

@@ -2,7 +2,11 @@
 formats, and the flag/subcommand inventory."""
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -59,6 +63,15 @@ def table_row(out: str, design: str) -> list[str]:
         if line.startswith(design):
             return line.split()
     raise AssertionError(f"no summary row for {design}:\n{out}")
+
+
+def test_cli_import_leaves_the_corpus_generator_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, hwgnn.cli; print('hwgnn.synth' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestConfigHandling:
@@ -465,6 +478,25 @@ class TestEmbed:
         d = make_design(tmp_path, "d1")
         assert main(["embed", "--config", cfg, "--out", str(tmp_path / "o"), str(d)]) == 2
         assert "vocabulary file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, error", [
+        (lambda lines: b"".join(reversed(lines)), "CorruptFileError"),
+        (lambda lines: b"".join(lines + lines[-1:]), "CorruptFileError"),
+        (lambda lines: b"\xff\xfe" + b"".join(lines), "UndecodableFileError"),
+    ], ids=["unsorted", "duplicate", "not-utf8"])
+    def test_hand_edited_vocab_exits_1_naming_the_file(self, ht_artifacts, tmp_path, capsys,
+                                                        damage, error):
+        edited = tmp_path / "edited"
+        edited.mkdir()
+        shutil.copy(ht_artifacts / "model.ckpt", edited / "model.ckpt")
+        lines = (ht_artifacts / "vocab.txt").read_bytes().splitlines(keepends=True)
+        (edited / "vocab.txt").write_bytes(damage(lines))
+        cfg = write_config(tmp_path / "c.yml", checkpoint=str(edited / "model.ckpt"))
+        d = make_design(tmp_path, "d1")
+        assert main(["embed", "--config", cfg, "--out", str(tmp_path / "o"), str(d)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: {edited / 'vocab.txt'}: ")
+        assert len(err.splitlines()) == 1
 
     def test_unseen_node_label_is_a_clean_error(self, ht_artifacts, tmp_path, capsys):
         # the Trojan corpus never uses unary negation, so ~ is out of vocabulary

@@ -1,6 +1,7 @@
 """Dataset handling: normalization, vocabularies, encoding, splits, pairs,
 and the disk cache."""
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -8,17 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ast_of, dfg_of
+from conftest import assert_edges, ast_of, dfg_of
 from hwgnn import graphdata, synth
 from hwgnn.errors import (
     CacheCorruptError,
+    CorruptFileError,
     DegenerateSplitError,
     EmptyCorpusError,
+    ShapeMismatchError,
+    UndecodableFileError,
     UnknownCircuitError,
     UnknownLabelError,
 )
 from hwgnn.graphdata import (
     GraphPair,
+    GraphTensors,
     NodeVocab,
     build_vocab,
     cache_get,
@@ -34,6 +39,7 @@ from hwgnn.graphdata import (
     split,
 )
 from hwgnn.hwgraph import GraphNode, HWGraph
+from hwgnn.settings import TOP
 
 PORTED_AND = """
 module m(input a, input b, output c);
@@ -123,6 +129,17 @@ class TestVocab:
         assert path.read_text(encoding="utf-8") == "And\ninput\noutput\n"
         assert load_vocab(path).labels == vocab.labels
 
+    @pytest.mark.parametrize("text, error", [
+        (b"input\nAnd\n", CorruptFileError),
+        (b"And\nAnd\n", CorruptFileError),
+        (b"\xff\xfeAnd\n", UndecodableFileError),
+    ])
+    def test_damaged_file_is_a_typed_error_naming_it(self, tmp_path, text, error):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(text)
+        with pytest.raises(error, match="vocab.txt"):
+            load_vocab(path)
+
 
 class TestEncode:
     def test_one_hot_row_for_label(self):
@@ -131,13 +148,30 @@ class TestEncode:
         t = encode(g, vocab)
         assert t.X.tolist() == [[1.0, 0.0, 0.0]]
 
+    @pytest.mark.parametrize("A, want", [
+        ([], np.empty((0, 2))),
+        ([(0, 1), (1, 0)], [(0, 1), (1, 0)]),
+        (np.array([[2, 0]], dtype=np.int32), [(2, 0)]),
+        (np.array([[0, 1], [1, 2]], dtype=">i8"), [(0, 1), (1, 2)]),
+        (np.array([[0, 1], [2, 3]]).T[::-1].T, [(1, 0), (3, 2)]),
+    ])
+    def test_any_m_by_2_integers_become_contiguous_int64(self, A, want):
+        assert_edges(GraphTensors(X=np.eye(4), A=A, graph_id="g").A, want)
+
+    @pytest.mark.parametrize("A", [
+        [(0, 1, 2)], [(0, 1), (2,)], [0, 1], [[0.0, 1.0]], [("a", "b")], np.zeros((2, 2, 2), int),
+    ])
+    def test_malformed_edges_raise_shape_mismatch(self, A):
+        with pytest.raises(ShapeMismatchError, match="'g'"):
+            GraphTensors(X=np.eye(4), A=A, graph_id="g")
+
     def test_four_node_example_shape(self):
         g = normalize(tiny_dfg())
         vocab = build_vocab([g])
         t = encode(g, vocab, label=1)
         assert t.X.shape == (4, 3)
         assert t.X.sum(axis=1).tolist() == [1.0] * 4
-        assert t.A == g.edges
+        assert_edges(t.A, g.edges)
         assert t.label == 1
         assert t.graph_id == g.design_name
 
@@ -184,6 +218,16 @@ class TestSplit:
         # 20% of 85,725 pairs reserved for testing
         s = split(list(range(85725)), 0.2, seed=0)
         assert len(s.test) == 17145
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.25, 0.3, 0.7, 0, 1, -0.5, 1.5, True,
+                                       math.nan, math.inf, "0.5", None])
+    def test_accepts_exactly_the_ratios_settings_declares(self, ratio):
+        # 4 items keep both sides non-empty for every ratio in (0, 1) tried here
+        if TOP["ratio"].rule.ok(ratio):
+            assert len(split([1, 2, 3, 4], ratio, seed=0).test) in (1, 2, 3)
+        else:
+            with pytest.raises(DegenerateSplitError, match="ratio"):
+                split([1, 2, 3, 4], ratio, seed=0)
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(DegenerateSplitError):
@@ -301,7 +345,7 @@ class TestCache:
         back = cache_get(tmp_path, key)
         assert back is not None
         assert back.X.tobytes() == t.X.tobytes()
-        assert back.A == t.A
+        assert_edges(back.A, t.A)
         assert back.graph_id == t.graph_id
         assert back.label == t.label
 

@@ -146,6 +146,10 @@ class TestSchemaViolations:
         err = violation("{not json")
         assert "not valid JSON" in str(err)
 
+    @pytest.mark.parametrize("blob", [b"\xff\xfe{", b'{"design": "\xff"}'])
+    def test_bytes_that_are_not_utf8(self, blob):
+        assert "not valid JSON" in str(violation(blob))
+
     def test_top_level_must_be_object(self):
         assert violation([1, 2]).pointer == ""
 

@@ -1,4 +1,5 @@
 """Losses, decision rules, metrics, trainers, checkpoints, and exports."""
+import inspect
 import json
 import math
 import struct
@@ -20,7 +21,7 @@ from hwgnn.errors import (
     VersionMismatchError,
     VocabMismatchError,
 )
-from hwgnn.graph2vec import build_model, embed
+from hwgnn.graph2vec import build_adjacency, build_model, embed, pool_graph
 from hwgnn.graphdata import GraphPair, GraphTensors
 
 # --- toy graphs ---
@@ -235,10 +236,10 @@ class TestCrossEntropy:
 
 class TestContrastiveLoss:
     def test_perfect_positive_pair_costs_nothing(self):
-        assert lp.contrastive_loss(nc.constant([[1.0]]), 1).item() == 0.0
+        assert lp.contrastive_loss(nc.constant([[1.0]]), 1, 0.5).item() == 0.0
 
     def test_positive_pair_pays_one_minus_similarity(self):
-        assert lp.contrastive_loss(nc.constant([[0.2]]), 1).item() == pytest.approx(0.8)
+        assert lp.contrastive_loss(nc.constant([[0.2]]), 1, 0.5).item() == pytest.approx(0.8)
 
     def test_negative_pair_inside_margin_is_free(self):
         assert lp.contrastive_loss(nc.constant([[0.3]]), -1, margin=0.5).item() == 0.0
@@ -259,10 +260,10 @@ class TestContrastiveLoss:
     def test_rejects_labels_outside_plus_minus_one(self, label):
         # 1.0 == 1 so the float sneaks through; everything else must not
         if label == 1.0 and not isinstance(label, str):
-            lp.contrastive_loss(nc.constant([[0.5]]), label)
+            lp.contrastive_loss(nc.constant([[0.5]]), label, 0.5)
             return
         with pytest.raises(BadLabelError):
-            lp.contrastive_loss(nc.constant([[0.5]]), label)
+            lp.contrastive_loss(nc.constant([[0.5]]), label, 0.5)
 
     @given(
         st.floats(-1.0, 1.0),
@@ -283,7 +284,7 @@ class TestContrastiveLoss:
         v = nc.Parameter(np.array([[0.2, -0.6, 0.5]]), "v")
 
         def positive():
-            return lp.contrastive_loss(nc.cosine(u, v), 1)
+            return lp.contrastive_loss(nc.cosine(u, v), 1, 0.5)
 
         fd_gradcheck(positive, [u, v])
         w = nc.Parameter(np.array([[0.7, 0.5, -0.2]]), "w")
@@ -343,6 +344,13 @@ class TestDecisionRules:
         # identical graphs score exactly 1, and the rule is strictly greater
         assert lp.predict_piracy(model, t, twin, delta=1.0) == "Non_Piracy"
 
+    @pytest.mark.parametrize("sim, delta, want", [
+        (0.6, 0.5, "Piracy"), (0.5, 0.5, "Non_Piracy"), (0.4, 0.5, "Non_Piracy"),
+        (-0.2, -0.3, "Piracy"), (math.nan, 0.5, "Non_Piracy"),
+    ])
+    def test_piracy_rule_is_similarity_strictly_above_delta(self, sim, delta, want):
+        assert lp.piracy_verdict(sim, delta) == want
+
     def test_raising_delta_never_creates_piracy(self):
         model = build_model({"in_dim": 2, "conv_dims": [4], "head": "siamese"}, seed=5)
         a, b = star_tensors(5, "a"), chain_tensors(5, "b")
@@ -355,6 +363,16 @@ class TestDecisionRules:
         )
         assert all(v == "Piracy" for v in verdicts[:first_non])
         assert all(v == "Non_Piracy" for v in verdicts[first_non:])
+
+
+@pytest.mark.parametrize("fn, name", [
+    (lp.evaluate_pairs, "delta"), (lp.predict_piracy, "delta"), (nc.contrastive_loss, "margin"),
+    (pool_graph, "readout"), (build_adjacency, "directed"), (nc.Adam, "lr"),
+    (build_model, "seed"),
+])
+def test_setting_backed_arguments_take_no_default(fn, name):
+    # the value comes from the caller's settings, never from a second default
+    assert inspect.signature(fn).parameters[name].default is inspect.Parameter.empty
 
 
 class TestMetrics:
@@ -609,6 +627,7 @@ class TestPairTraining:
             lp.contrastive_loss(
                 nc.constant([[lp.pair_similarity_value(model, tensors[p.first], tensors[p.second])]]),
                 1,
+                0.5,
             ).item()
             for p in pairs
         )

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_gradcheck
+from hwgnn.settings import ARCH
 from hwgnn.errors import NonFiniteError, ShapeMismatchError, ZeroVectorError
 from hwgnn.graph2vec import build_adjacency
 from hwgnn.nncore import (
@@ -72,7 +73,7 @@ class TestForward:
 
     def test_sub(self):
         # a positive pair's contrastive loss is 1 - similarity
-        assert contrastive_loss(constant([[0.25]]), 1).item() == 0.75
+        assert contrastive_loss(constant([[0.25]]), 1, 0.5).item() == 0.75
 
     def test_relu_clips_negatives(self):
         out = dense(constant([[-1.0, 0.0, 2.0]]), constant(np.eye(3)), zeros_bias(3), "relu")
@@ -147,6 +148,30 @@ class TestCosine:
         assert -1.0 <= cosine(u, v).item() <= 1.0
 
 
+ACTIVATIONS = ARCH["activation"].rule.meta.split("|")
+READOUTS = ARCH["readout"].rule.meta.split("|")
+
+
+class TestChoicesComeFromSettings:
+    @pytest.mark.parametrize("name", ACTIVATIONS + ["gelu", "Relu", "", None, 1])
+    def test_activation(self, name):
+        args = constant([[1.0, -2.0]]), constant(np.eye(2)), zeros_bias(2)
+        if name in ACTIVATIONS:
+            assert dense(*args, name).shape == (1, 2)
+        else:
+            with pytest.raises(ValueError, match="activation"):
+                dense(*args, name)
+
+    @pytest.mark.parametrize("name", READOUTS + ["max", "Sum", "", None])
+    def test_readout(self, name):
+        args = constant([[1.0, 2.0], [3.0, 4.0]]), constant([[ONE], [ONE]]), np.array([0, 1])
+        if name in READOUTS:
+            assert gate_pool(*args, name).shape == (1, 2)
+        else:
+            with pytest.raises(ValueError, match="readout"):
+                gate_pool(*args, name)
+
+
 class TestShapeErrors:
     def test_matmul(self):
         with pytest.raises(ShapeMismatchError):
@@ -171,7 +196,7 @@ class TestShapeErrors:
     def test_scatter_index_per_row(self):
         with pytest.raises(ShapeMismatchError):
             graph_conv(constant(np.ones((2, 1))), constant([[1.0]]), constant([[1.0]]),
-                       zeros_bias(1), build_adjacency(3, []), "identity")
+                       zeros_bias(1), build_adjacency(3, [], False), "identity")
 
     def test_scatter_range(self):
         adj = SimpleNamespace(n=2, msg_src=np.array([0]), msg_dst=np.array([5]),
@@ -265,7 +290,7 @@ class TestGradientOracle:
     def test_scale(self):
         # contrastive loss: slope -1 for +1 pairs, +1 above the margin for -1 pairs
         s = Parameter([[0.3]], "s")
-        fd_gradcheck(lambda: contrastive_loss(s, 1), [s])
+        fd_gradcheck(lambda: contrastive_loss(s, 1, 0.5), [s])
         fd_gradcheck(lambda: contrastive_loss(s, -1, margin=0.1), [s])
 
     def test_relu_away_from_kink(self):
