@@ -14,9 +14,9 @@ from .graphdata import (
     NodeVocab,
     build_vocab,
     cache_get,
+    cache_key,
     cache_put,
     encode,
-    encode_cached,
     leave_one_circuit_out,
     make_pairs,
     normalize,
@@ -74,9 +74,9 @@ __all__ = [
     "NodeVocab",
     "build_vocab",
     "cache_get",
+    "cache_key",
     "cache_put",
     "encode",
-    "encode_cached",
     "leave_one_circuit_out",
     "make_pairs",
     "normalize",

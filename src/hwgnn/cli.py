@@ -214,29 +214,47 @@ def cmd_graph(run: Run) -> int:
     return 1 if failures else 0
 
 
-# --- dataset assembly for the learning commands ---
+# --- encoding (shared by the learning and inference commands) ---
 
-def _encode(run: Run, g, vocab, label=None):
+def _graph(run: Run, path: Path, design):
+    return graphdata.normalize(hw2graph(design, run.kind, top=run.top, design_name=path.name))
+
+
+def _encode(run: Run, path: Path, design, vocab, label=None, graph=None):
+    """The design's tensors.  With a cache, a hit on the design's sources
+    skips extraction and encoding; a miss extracts (unless the caller passes
+    the ``graph`` it already extracted), encodes and stores the result."""
+    key = None
     if run.cache is not None:
-        return graphdata.encode_cached(g, vocab, run.cache, label=label)
-    return graphdata.encode(g, vocab, label=label)
-
-
-def _normalized(run: Run, path: Path):
-    return graphdata.normalize(_extract_one(path, run.kind, run.abstraction, run.top))
+        key = graphdata.cache_key(path, design, run.kind, run.top, vocab)
+        hit = graphdata.cache_get(run.cache, key)
+        if hit is not None:
+            hit.label = label  # the stored label is its writer's, not the caller's
+            return hit
+    if graph is None:
+        graph = _graph(run, path, design)
+    tensors = graphdata.encode(graph, vocab, label=label)
+    if key is not None:
+        graphdata.cache_put(run.cache, key, tensors)
+    return tensors
 
 
 def _encode_corpus(run: Run, designs: list[Path], labels: dict | None = None):
-    """Extract, normalize, and one-hot encode every design; returns
-    (tensors by design name, vocab)."""
-    graphs = {p.name: _normalized(run, p) for p in designs}
-    vocab = graphdata.build_vocab(list(graphs.values()))
+    """Extract and normalize every design, build the vocabulary from the
+    graphs, then encode each one; returns (tensors by design name, vocab)."""
+    extracted = []
+    for p in designs:
+        design = load_design_dir(p, run.abstraction)
+        extracted.append((p, design, _graph(run, p, design)))
+    vocab = graphdata.build_vocab([g for _, _, g in extracted])
     tensors = {
-        name: _encode(run, g, vocab, labels.get(name) if labels else None)
-        for name, g in graphs.items()
+        p.name: _encode(run, p, design, vocab, labels.get(p.name) if labels else None, g)
+        for p, design, g in extracted
     }
     return tensors, vocab
 
+
+# --- dataset assembly for the learning commands ---
 
 def _split_ids(run: Run, ids: list[str], manifest: dict) -> graphdata.DatasetSplit:
     if run.leave_out is not None:
@@ -323,7 +341,7 @@ def _load_model_and_vocab(run: Run):
 
 
 def _encode_inputs(run: Run, paths: list[Path], vocab):
-    return [_encode(run, _normalized(run, p), vocab) for p in paths]
+    return [_encode(run, p, load_design_dir(p, run.abstraction), vocab) for p in paths]
 
 
 def cmd_embed(run: Run) -> int:

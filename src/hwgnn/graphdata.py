@@ -23,7 +23,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .hwgraph import AST_LABELS, DFG, DFG_LABELS, GraphNode, HWGraph
-from .hwgraph.source import read_text
+from .hwgraph.source import SourceUnit, read_text
 
 
 @dataclass
@@ -172,15 +172,31 @@ def load_vocab(path: Path) -> NodeVocab:
 _CACHE_MAGIC = b"HWGT\x01"
 
 
-def cache_key(g: HWGraph, vocab: NodeVocab) -> str:
-    """Content hash of everything encode() reads: the design name (a hit
-    returns the stored graph_id), kind, vocabulary fingerprint, node labels
-    in id order, and the sorted edge list."""
-    labels = [n.label for n in sorted(g.nodes, key=lambda n: n.id)]
-    head = json.dumps([g.design_name, g.kind, vocab.fingerprint, labels])
-    edges = np.asarray(g.edges, dtype="<i8").reshape(-1, 2)
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-    return hashlib.sha256(head.encode("ascii") + edges.tobytes()).hexdigest()
+# Bump when hw2graph, normalize or encode gives other output for the same
+# sources: keys then change, so entries stored under the old value miss
+# (tests/test_extractor_version.py pins the extraction output per value).
+EXTRACTOR_VERSION = 1
+
+
+def _framed(data: bytes) -> bytes:
+    return struct.pack("<Q", len(data)) + data
+
+
+def cache_key(root: Path, design: SourceUnit, kind: str, top: str | None,
+              vocab: NodeVocab) -> str:
+    """Hash of every input that extraction and encoding read, so a hit
+    needs no extraction: the extractor version, the design name
+    ``root.name`` (a hit returns it as graph_id), kind, top, abstraction,
+    the vocabulary fingerprint, and each file's path relative to ``root``
+    with its text, in ``design.files`` order, every field length-prefixed."""
+    root = Path(root)
+    head = json.dumps([EXTRACTOR_VERSION, root.name, kind, top, design.abstraction,
+                       vocab.fingerprint, len(design.files)])
+    h = hashlib.sha256(_framed(head.encode("ascii")))
+    for path, text in design.files:
+        h.update(_framed(path.relative_to(root).as_posix().encode("utf-8")))
+        h.update(_framed(text.encode("utf-8")))
+    return h.hexdigest()
 
 
 def _cache_path(root: Path, key: str) -> Path:
@@ -250,15 +266,3 @@ def cache_get(root: Path, key: str) -> GraphTensors | None:
     return GraphTensors(X=X.reshape(rows, cols).copy(), A=A.reshape(n_edges, 2),
                         graph_id=header["graph_id"], label=header["label"])
 
-
-def encode_cached(g: HWGraph, vocab: NodeVocab, root: Path, label=None) -> GraphTensors:
-    """encode() with get-after-put reuse keyed by graph content + vocab."""
-    key = cache_key(g, vocab)
-    hit = cache_get(root, key)
-    if hit is not None:
-        if label is not None:
-            hit.label = label
-        return hit
-    tensors = encode(g, vocab, label=label)
-    cache_put(root, key, tensors)
-    return tensors

@@ -36,11 +36,19 @@ def _require(doc: dict, key: str, types, pointer: str):
 
 
 def graph_from_json(doc) -> HWGraph:
-    """Parse a schema'd document (text or already-decoded object)."""
-    if isinstance(doc, (str, bytes)):
+    """Parse a schema'd document (text, UTF-8 bytes without a BOM, or an
+    already-decoded object); bytes in any other encoding are rejected, as
+    ``read_graph`` rejects such a file."""
+    if isinstance(doc, bytes):
+        try:
+            doc = doc.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaViolationError(
+                "", f"not valid JSON: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except json.JSONDecodeError as exc:
             raise SchemaViolationError("", f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaViolationError("", "top level must be an object")

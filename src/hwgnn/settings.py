@@ -91,7 +91,7 @@ SETTINGS = [
     Setting("top", "abstraction", "rtl", choice("rtl", "gln", any_case=True),
             "source abstraction level"),
     Setting("top", "top", None, text("NAME"), "top module override for single-design commands"),
-    Setting("top", "cache", None, text("DIR"), "encoded-tensor cache directory"),
+    Setting("top", "cache", None, text("DIR"), "encoded-tensor cache keyed on design sources"),
     Setting("top", "out", ".", text("DIR"), "output directory"),
     Setting("top", "checkpoint", None, text("FILE"),
             "model checkpoint to load (embed / infer commands)"),

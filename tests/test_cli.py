@@ -560,3 +560,156 @@ class TestInferIp:
         verdict = fields[3].removeprefix("verdict=")
         assert -1.0 <= sim <= 1.0
         assert verdict == ("Piracy" if sim > 0.5 else "Non_Piracy")
+
+
+class TestCache:
+    """The tensor cache is keyed on design sources: a warm run extracts
+    nothing, gives the bytes a run without a cache gives, and any change to
+    what extraction or encoding reads misses."""
+
+    @pytest.fixture
+    def extractions(self, monkeypatch):
+        """Counts hw2graph calls, that is, cache misses that extract."""
+        calls = []
+        real = cli.hw2graph
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("design_name"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "hw2graph", counting)
+        return calls
+
+    @staticmethod
+    def no_extraction(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm run extracted a design")
+
+        monkeypatch.setattr(cli, "hw2graph", refuse)
+
+    def config(self, tmp_path, artifacts, **keys):
+        return write_config(tmp_path / "c.yml", checkpoint=str(artifacts / "model.ckpt"),
+                            cache=str(tmp_path / "cache"), **keys)
+
+    def test_warm_embed_runs_no_extraction(self, ht_artifacts, ht_corpus_dir, tmp_path,
+                                           monkeypatch):
+        cfg = self.config(tmp_path, ht_artifacts, corpus=str(ht_corpus_dir))
+        plain = write_config(tmp_path / "plain.yml", checkpoint=str(ht_artifacts / "model.ckpt"),
+                             corpus=str(ht_corpus_dir))
+        runs = {"none": plain, "cold": cfg, "warm": cfg}
+        for name, config in runs.items():
+            if name == "warm":
+                self.no_extraction(monkeypatch)
+            assert main(["embed", "--config", config, "--out", str(tmp_path / name)]) == 0
+        tsv = {name: (tmp_path / name / "embeddings.tsv").read_bytes() for name in runs}
+        assert tsv["cold"] == tsv["none"] and tsv["warm"] == tsv["none"]
+        assert len(list((tmp_path / "cache").iterdir())) == 10
+
+    def test_warm_infer_ht_runs_no_extraction(self, ht_artifacts, ht_corpus_dir, tmp_path,
+                                              capsys, monkeypatch):
+        plain = write_config(tmp_path / "plain.yml", checkpoint=str(ht_artifacts / "model.ckpt"),
+                             corpus=str(ht_corpus_dir))
+        assert main(["infer-ht", "--config", plain]) == 0
+        want = capsys.readouterr().out
+        cfg = self.config(tmp_path, ht_artifacts, corpus=str(ht_corpus_dir))
+        # embed warms the cache for infer-ht, as in a screening round
+        assert main(["embed", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        self.no_extraction(monkeypatch)
+        assert main(["infer-ht", "--config", cfg]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_warm_infer_ip_runs_no_extraction(self, ip_artifacts, ip_corpus_dir, tmp_path,
+                                              capsys, monkeypatch):
+        pair = [str(ip_corpus_dir / "ip_adder_v0"), str(ip_corpus_dir / "ip_parity_v0")]
+        cfg = self.config(tmp_path, ip_artifacts)
+        assert main(["infer-ip", "--config", cfg, *pair]) == 0
+        cold = capsys.readouterr().out
+        self.no_extraction(monkeypatch)
+        assert main(["infer-ip", "--config", cfg, *pair]) == 0
+        assert capsys.readouterr().out == cold
+
+    @pytest.mark.parametrize("change", ["edit-byte", "rename-dir", "kind", "top"])
+    def test_changed_input_misses(self, ht_artifacts, tmp_path, extractions, change):
+        d = make_design(tmp_path / "in", "d1")
+        cfg = self.config(tmp_path, ht_artifacts)
+        args = ["embed", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert main(args + [str(d)]) == 0
+        assert main(args + [str(d)]) == 0
+        assert len(extractions) == 1  # the second run hit
+        if change == "edit-byte":
+            src = d / "d1.v"
+            src.write_text(src.read_text(encoding="utf-8").replace("a & b", "b & a"),
+                           encoding="utf-8")
+        elif change == "rename-dir":
+            d = d.rename(d.with_name("d2"))
+        flags = {"kind": ["--kind", "ast"], "top": ["--top", "top_and"]}.get(change, [])
+        main(args + flags + [str(d)])  # an AST graph is outside the DFG vocabulary
+        assert len(extractions) == 2
+
+    def test_another_vocabulary_misses(self, ht_artifacts, ip_artifacts, tmp_path,
+                                       extractions):
+        assert ((ht_artifacts / "vocab.txt").read_bytes()
+                != (ip_artifacts / "vocab.txt").read_bytes())
+        d = make_design(tmp_path / "in", "d1")
+        for artifacts in (ht_artifacts, ip_artifacts):
+            cfg = self.config(tmp_path, artifacts)
+            assert main(["embed", "--config", cfg, "--out", str(tmp_path / "o"), str(d)]) == 0
+        assert len(extractions) == 2
+
+    def test_undecodable_design_fails_even_with_a_warm_cache(self, ht_artifacts, tmp_path,
+                                                             capsys):
+        d = make_design(tmp_path / "in", "d1")
+        cfg = self.config(tmp_path, ht_artifacts)
+        args = ["embed", "--config", cfg, "--out", str(tmp_path / "o"), str(d)]
+        assert main(args) == 0
+        src = d / "d1.v"
+        src.write_bytes(src.read_bytes() + b"\xff")
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "UndecodableFileError" in err and "d1.v" in err
+
+    def test_corrupt_entry_fails_only_its_design_under_infer_ht(self, ht_artifacts,
+                                                                ht_corpus_dir, tmp_path,
+                                                                capsys):
+        good, bad = sorted(p for p in ht_corpus_dir.iterdir() if p.is_dir())[:2]
+        cfg = self.config(tmp_path, ht_artifacts)
+        assert main(["infer-ht", "--config", cfg, str(good), str(bad)]) == 0
+        want = capsys.readouterr().out.splitlines()
+        vocab = graphdata.load_vocab(ht_artifacts / "vocab.txt")
+        key = graphdata.cache_key(bad, cli.load_design_dir(bad), "DFG", None, vocab)
+        entry = tmp_path / "cache" / f"{key}.gt"
+        blob = bytearray(entry.read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        entry.write_bytes(bytes(blob))
+        assert main(["infer-ht", "--config", cfg, str(good), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == want[:1]
+        assert captured.err.startswith(f"error: {bad.name}: {entry}: checksum mismatch")
+
+    def run(self, tmp_path):
+        return cli.Run(build_parser().parse_args(["embed", "--cache", str(tmp_path / "cache")]))
+
+    def test_warm_encode_runs_no_extraction(self, tmp_path, monkeypatch):
+        d = make_design(tmp_path / "in", "d1")
+        run = self.run(tmp_path)
+        g = graphdata.normalize(cli.hw2graph(cli.load_design_dir(d), "DFG", design_name="d1"))
+        vocab = graphdata.build_vocab([g])
+        first = cli._encode(run, d, cli.load_design_dir(d), vocab)
+        self.no_extraction(monkeypatch)
+        monkeypatch.setattr(graphdata, "encode", lambda *a, **k: pytest.fail("cache missed"))
+        second = cli._encode(run, d, cli.load_design_dir(d), vocab)
+        assert second.X.tobytes() == first.X.tobytes()
+        assert second.A.tobytes() == first.A.tobytes()
+        assert second.graph_id == first.graph_id == "d1"
+
+    def test_hit_takes_the_callers_label(self, tmp_path):
+        d = make_design(tmp_path / "in", "d1")
+        run = self.run(tmp_path)
+        design = cli.load_design_dir(d)
+        g = graphdata.normalize(cli.hw2graph(design, "DFG", design_name="d1"))
+        vocab = graphdata.build_vocab([g])
+        assert cli._encode(run, d, design, vocab, label="Trojan", graph=g).label == "Trojan"
+        assert cli._encode(run, d, design, vocab, label=1).label == 1
+        assert cli._encode(run, d, design, vocab).label is None

@@ -1,0 +1,47 @@
+"""Extraction output is pinned per ``graphdata.EXTRACTOR_VERSION``.
+
+The tensor cache is keyed on a design's sources plus that version, so a
+change to what extraction gives for the same sources must bump the version:
+bumping it is what makes every entry stored under the old value miss.  A
+change that moves a digest below fails here until a new version entry
+holding the new digests is added (and the constant raised to match).
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from hwgnn import graphdata
+from hwgnn.hwgraph import AST, DFG, graph_to_json, hw2graph, load_design_dir
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+# version -> (design under corpus/, kind) -> sha256 of graph_to_json
+PINNED = {
+    1: {
+        ("ht/clean_alu_00", AST): "ae0acf90510392260cd7b70fa59b5e17e0db8a41069755aec39afb5cf3a755ba",
+        ("ht/clean_alu_00", DFG): "f567f3198214de35f5fe976f2a0c5ef48a98c09ab9c38ec922b4e02f6c5653cc",
+        ("ht/troj_alu_30", AST): "b950d8e642e60e54cd3831c0de50c0b5f2b74a6033148cfdf758243a1da773c1",
+        ("ht/troj_alu_30", DFG): "bb2dc923b27b40146879bd4708c90c79ea136840d612714bc3e75bcd05c2a7e2",
+        ("ip/ip_adder_v0", AST): "e3cc5d58b0a7ba07600a42effff19e8a1d1f63670c1d82a151932575b5199a12",
+        ("ip/ip_adder_v0", DFG): "3994bdf691cb14a612f17618fd2e30d159fb400b25dd7d6082d6289a1a4160e1",
+        ("ip/ip_aoi_gln_v0", AST): "167c369b4649a817086d23e252f4828cf532861134b253c9441db287725399ec",
+        ("ip/ip_aoi_gln_v0", DFG): "c84c07fcf4351b7850555bff6ca1e1210b55774f78a1ea8ead17a2f40b00aa70",
+    },
+}
+CURRENT = PINNED.get(graphdata.EXTRACTOR_VERSION, {})
+
+
+def test_current_version_is_pinned():
+    assert graphdata.EXTRACTOR_VERSION in PINNED
+
+
+@pytest.mark.parametrize("design, kind", sorted(CURRENT))
+def test_extraction_output_matches_the_pinned_digest(design, kind):
+    path = CORPUS / design
+    g = hw2graph(load_design_dir(path), kind, design_name=path.name)
+    digest = hashlib.sha256(graph_to_json(g).encode("utf-8")).hexdigest()
+    assert digest == CURRENT[(design, kind)], (
+        "extraction output changed: raise graphdata.EXTRACTOR_VERSION and pin the "
+        "new digests under it"
+    )

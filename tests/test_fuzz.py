@@ -58,10 +58,11 @@ def work(tmp_path_factory):
 @pytest.fixture(scope="module")
 def samples(work):
     """One valid file of each kind that the readers take."""
-    g = graphdata.normalize(hw2graph(load_design_dir(DESIGNS[0]), DFG, design_name="d0"))
+    design = load_design_dir(DESIGNS[0])
+    g = graphdata.normalize(hw2graph(design, DFG, design_name="d0"))
     vocab = graphdata.build_vocab([g])
     graphdata.save_vocab(vocab, work / "vocab.txt")
-    key = graphdata.cache_key(g, vocab)
+    key = graphdata.cache_key(DESIGNS[0], design, DFG, None, vocab)
     entry = graphdata.cache_put(work / "cache", key, graphdata.encode(g, vocab, label="Trojan"))
     model = build_model({"in_dim": len(vocab), "conv_dims": [3], "mlp_hidden": [2]}, seed=0)
     learnpipe.save_checkpoint(learnpipe.Checkpoint(model=model, best_metric=0.5),

@@ -2,6 +2,7 @@
 and the disk cache."""
 import hashlib
 import math
+import shutil
 import struct
 
 import numpy as np
@@ -30,7 +31,6 @@ from hwgnn.graphdata import (
     cache_key,
     cache_put,
     encode,
-    encode_cached,
     leave_one_circuit_out,
     load_vocab,
     make_pairs,
@@ -38,7 +38,16 @@ from hwgnn.graphdata import (
     save_vocab,
     split,
 )
-from hwgnn.hwgraph import GraphNode, HWGraph
+from hwgnn.hwgraph import (
+    AST,
+    DFG,
+    GLN,
+    RTL,
+    GraphNode,
+    HWGraph,
+    SourceUnit,
+    load_design_dir,
+)
 from hwgnn.settings import TOP
 
 PORTED_AND = """
@@ -334,13 +343,22 @@ class TestPairs:
 
 
 class TestCache:
-    def setup_method(self):
+    @pytest.fixture(autouse=True)
+    def design(self, tmp_path):
+        self.root = tmp_path / "designs" / "d"
+        self.root.mkdir(parents=True)
+        (self.root / "d.v").write_text(PORTED_AND, encoding="utf-8")
         self.g = normalize(tiny_dfg())
         self.vocab = build_vocab([self.g])
 
+    def key(self, root=None, kind=DFG, top=None, vocab=None, abstraction=RTL):
+        root = self.root if root is None else root
+        return cache_key(root, load_design_dir(root, abstraction), kind, top,
+                         self.vocab if vocab is None else vocab)
+
     def test_round_trip_bit_identical(self, tmp_path):
         t = encode(self.g, self.vocab, label=1)
-        key = cache_key(self.g, self.vocab)
+        key = self.key()
         cache_put(tmp_path, key, t)
         back = cache_get(tmp_path, key)
         assert back is not None
@@ -352,34 +370,78 @@ class TestCache:
     def test_miss_returns_none(self, tmp_path):
         assert cache_get(tmp_path, "0" * 64) is None
 
+    def test_key_is_stable(self):
+        assert self.key() == self.key()
+
     def test_key_tracks_vocab_fingerprint(self, tmp_path):
         other = NodeVocab(sorted(self.vocab.labels + ["const"]))
-        k1 = cache_key(self.g, self.vocab)
-        k2 = cache_key(self.g, other)
+        k1 = self.key()
+        k2 = self.key(vocab=other)
         assert k1 != k2
         cache_put(tmp_path, k1, encode(self.g, self.vocab))
         assert cache_get(tmp_path, k2) is None
 
-    def test_key_tracks_graph_content(self):
-        other = dfg_of("module m(input a, output c);\n  assign c = a;\nendmodule")
-        assert cache_key(self.g, self.vocab) != cache_key(
-            normalize(other), self.vocab
-        )
+    def test_key_tracks_source_text(self):
+        before = self.key()
+        path = self.root / "d.v"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("a & b", "a | b"), encoding="utf-8")  # one byte
+        assert self.key() != before
+        path.write_text(text + "\n", encoding="utf-8")
+        assert self.key() != before
+        path.write_text(text, encoding="utf-8")
+        assert self.key() == before
 
-    def test_key_tracks_design_name(self):
-        twin = HWGraph(kind=self.g.kind, nodes=list(self.g.nodes),
-                       edges=list(self.g.edges), design_name=self.g.design_name + "_twin")
-        assert cache_key(self.g, self.vocab) != cache_key(twin, self.vocab)
+    def test_key_tracks_file_paths_and_count(self):
+        before = self.key()
+        (self.root / "d.v").rename(self.root / "e.v")
+        assert self.key() != before
+        (self.root / "e.v").rename(self.root / "d.v")
+        (self.root / "sub").mkdir()
+        (self.root / "sub" / "x.v").write_text("// empty\n", encoding="utf-8")
+        assert self.key() != before
+
+    def test_key_tracks_design_name(self, tmp_path):
+        twin = tmp_path / "designs" / "d_twin"
+        shutil.copytree(self.root, twin)
+        assert self.key(twin) != self.key()
+
+    def test_key_ignores_where_the_design_lives(self, tmp_path):
+        moved = tmp_path / "elsewhere" / "d"
+        shutil.copytree(self.root, moved)
+        assert self.key(moved) == self.key()
+
+    def test_key_tracks_kind_top_and_abstraction(self):
+        keys = {self.key(), self.key(kind=AST), self.key(top="m"), self.key(abstraction=GLN)}
+        assert len(keys) == 4
+
+    def test_key_tracks_extractor_version(self, monkeypatch):
+        before = self.key()
+        monkeypatch.setattr(graphdata, "EXTRACTOR_VERSION", graphdata.EXTRACTOR_VERSION + 1)
+        assert self.key() != before
+
+    @pytest.mark.parametrize("one, two", [
+        # equal when neither paths nor texts carry a length prefix
+        ([("a.v", "xb.v"), ("c.v", "")], [("a.v", "x"), ("b.vc.v", "")]),
+        # equal when only the paths carry one
+        ([("a.v", "x" + "\x03" + "\x00" * 7 + "b.vy"), ("c.v", "z")],
+         [("a.v", "x"), ("b.v", "y" + "\x03" + "\x00" * 7 + "c.vz")]),
+    ], ids=["unframed", "paths-framed"])
+    def test_file_boundaries_cannot_collide(self, one, two):
+        r = self.root
+        keys = {cache_key(r, SourceUnit([(r / p, t) for p, t in files]), DFG, None, self.vocab)
+                for files in (one, two)}
+        assert len(keys) == 2
 
     def test_filename_layout(self, tmp_path):
-        key = cache_key(self.g, self.vocab)
+        key = self.key()
         path = cache_put(tmp_path, key, encode(self.g, self.vocab))
         assert path.parent == tmp_path
         assert path.name == f"{key}.gt"
         assert len(key) == 64
 
     def test_truncated_entry_raises(self, tmp_path):
-        key = cache_key(self.g, self.vocab)
+        key = self.key()
         path = cache_put(tmp_path, key, encode(self.g, self.vocab))
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
@@ -387,7 +449,7 @@ class TestCache:
             cache_get(tmp_path, key)
 
     def test_bit_rot_raises(self, tmp_path):
-        key = cache_key(self.g, self.vocab)
+        key = self.key()
         path = cache_put(tmp_path, key, encode(self.g, self.vocab))
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
@@ -419,20 +481,6 @@ class TestCache:
             cache_get(tmp_path, key)
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        key = cache_key(self.g, self.vocab)
-        cache_put(tmp_path, key, encode(self.g, self.vocab))
-        assert [p.suffix for p in tmp_path.iterdir()] == [".gt"]
-
-    def test_encode_cached_hits_after_put(self, tmp_path, monkeypatch):
-        first = encode_cached(self.g, self.vocab, tmp_path)
-        # a second call must not re-encode
-        monkeypatch.setattr(
-            graphdata, "encode", lambda *a, **k: pytest.fail("cache missed")
-        )
-        second = encode_cached(self.g, self.vocab, tmp_path)
-        assert second.X.tobytes() == first.X.tobytes()
-
-    def test_encode_cached_label_override_on_hit(self, tmp_path):
-        encode_cached(self.g, self.vocab, tmp_path, label=0)
-        hit = encode_cached(self.g, self.vocab, tmp_path, label=1)
-        assert hit.label == 1
+        cache = tmp_path / "cache"
+        cache_put(cache, self.key(), encode(self.g, self.vocab))
+        assert [p.suffix for p in cache.iterdir()] == [".gt"]

@@ -150,6 +150,15 @@ class TestSchemaViolations:
     def test_bytes_that_are_not_utf8(self, blob):
         assert "not valid JSON" in str(violation(blob))
 
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-32", "utf-8-sig"])
+    def test_both_readers_reject_other_encodings(self, tmp_path, encoding):
+        blob = graph_to_json(tiny_dfg()).encode(encoding)
+        assert "not valid JSON" in str(violation(blob))
+        path = tmp_path / "g.json"
+        path.write_bytes(blob)
+        with pytest.raises((SchemaViolationError, UndecodableFileError)):
+            read_graph(path)
+
     def test_top_level_must_be_object(self):
         assert violation([1, 2]).pointer == ""
 

@@ -41,3 +41,8 @@ def test_layer_probes_run():
     values = load_spans().probes(1)
     assert len(values) == 6
     assert all(math.isfinite(v) and v > 0.0 for v in values.values()), values
+
+
+def test_graph_worker_resolves_to_a_callable():
+    # Tracer.install patches the graph pool's task function by this name
+    assert callable(getattr(importlib.import_module("hwgnn.cli"), "_graph_worker", None))
