@@ -365,7 +365,7 @@ def cmd_infer_ht(run: Run) -> int:
             print(f"{p.name}\t{learnpipe.predict_ht(model, t)}")
         except HwgnnError as exc:
             failures += 1
-            print(f"error: {p.name}: {exc}", file=sys.stderr)
+            print(f"error: {p.name}: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 1 if failures else 0
 
 

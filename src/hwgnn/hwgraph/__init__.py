@@ -4,12 +4,10 @@ from .dfg import (
     DFG_LABELS,
     DFG_OP_LABELS,
     Elaborated,
-    dfg_for_signal,
     dfg_graph,
     elaborate,
-    merge_dfgs,
 )
-from .graph import AST, DFG, GraphNode, HWGraph, canonical_renumber
+from .graph import AST, DFG, GraphNode, HWGraph
 from .jsonio import graph_from_json, graph_to_json, read_graph, write_graph
 from .parser import AST_LABELS, TreeNode, parse_verilog
 from .pipeline import hw2graph
@@ -45,10 +43,7 @@ __all__ = [
     "parse_verilog",
     "ast_graph",
     "elaborate",
-    "dfg_for_signal",
     "dfg_graph",
-    "merge_dfgs",
-    "canonical_renumber",
     "graph_to_json",
     "graph_from_json",
     "read_graph",

@@ -17,7 +17,7 @@ from ..errors import (
     UnknownSignalError,
     VerilogSyntaxError,
 )
-from .graph import DFG, GraphNode, HWGraph, canonical_renumber
+from .graph import DFG, GraphNode, HWGraph
 from .parser import GATE_PRIMITIVES, TreeNode, deep_stack
 
 # operation labels a DFG node may carry, beyond signal/const/input/output
@@ -373,116 +373,91 @@ def elaborate(tree: TreeNode, top: str | None = None, max_depth: int = MAX_DEPTH
     return elab.finish()
 
 
-def _expr_fragment(elab: Elaborated, root: str, design_name: str = "") -> HWGraph:
-    nodes: list[GraphNode] = []
-    edges: list[tuple[int, int]] = []
-    edge_set: set[tuple[int, int]] = set()
-    visited: dict[str, int] = {}
-
-    def add_edge(src: int, dst: int) -> None:
-        if (src, dst) not in edge_set:
-            edge_set.add((src, dst))
-            edges.append((src, dst))
-
-    def new_node(label: str, name: str | None) -> int:
-        nid = len(nodes)
-        nodes.append(GraphNode(nid, label, name))
-        return nid
-
-    # worklist of (expression, id of the node depending on it)
-    def build(start: TreeNode, parent: int | None) -> None:
-        stack: list[tuple[TreeNode, int | None]] = [(start, parent)]
-        while stack:
-            expr, dep = stack.pop()
-            if expr.label in ("IntConst", "ParamRef"):
-                nid = new_node("const", expr.name)
-            elif expr.label == "Identifier":
-                assert expr.name is not None
-                if expr.name in visited:
-                    nid = visited[expr.name]
-                    if dep is not None:
-                        add_edge(dep, nid)
-                    continue
-                nid = new_node(elab.kinds.get(expr.name, "signal"), expr.name)
-                visited[expr.name] = nid
-                if expr.name in elab.drivers:
-                    stack.append((elab.drivers[expr.name], nid))
-            else:
-                if expr.label == "_Gate":
-                    assert expr.name is not None
-                    label = _GATE_LABEL[expr.name]
-                elif expr.label == "Cond":
-                    label = "Branch"
-                else:
-                    label = expr.label
-                if label not in DFG_OP_LABELS:
-                    raise VerilogSyntaxError(f"expression {expr.label} has no dataflow lowering")
-                nid = new_node(label, None)
-                for child in reversed(expr.children):
-                    stack.append((child, nid))
-            if dep is not None:
-                add_edge(dep, nid)
-
-    if root not in elab.kinds:
-        raise UnknownSignalError(f"signal {root!r} is not declared in the elaborated design")
-    rid = new_node(elab.kinds[root], root)
-    visited[root] = rid
-    if root in elab.drivers:
-        build(elab.drivers[root], rid)
-    return HWGraph(kind=DFG, nodes=nodes, edges=edges, design_name=design_name)
-
-
-def dfg_for_signal(tree: TreeNode, signal: str, top: str | None = None) -> HWGraph:
-    """Dependency fragment rooted at one signal (node 0)."""
-    with deep_stack():
-        return _expr_fragment(elaborate(tree, top), signal)
-
-
-def merge_dfgs(fragments: list[HWGraph], design_name: str = "") -> HWGraph:
-    """Union of fragments with signal nodes unified by hierarchical name.
-
-    Operation and constant nodes stay distinct per fragment.  Output ids are
-    renumbered canonically: DFS preorder from each fragment root in order.
-    """
-    if not fragments:
-        raise EmptyGraphError("no signal fragments to merge")
-    sig_ids: dict[str, int] = {}
-    nodes: list[GraphNode] = []
-    edges: list[tuple[int, int]] = []
-    edge_set: set[tuple[int, int]] = set()
-    roots: list[int] = []
-    for frag in fragments:
-        remap: dict[int, int] = {}
-        for node in frag.nodes:
-            if node.label in ("signal", "input", "output") and node.name is not None:
-                if node.name in sig_ids:
-                    remap[node.id] = sig_ids[node.name]
-                    continue
-                sig_ids[node.name] = len(nodes)
-            remap[node.id] = len(nodes)
-            nodes.append(GraphNode(len(nodes), node.label, node.name))
-        for src, dst in frag.edges:
-            e = (remap[src], remap[dst])
-            if e not in edge_set:
-                edge_set.add(e)
-                edges.append(e)
-        roots.append(remap[0])
-    seen_roots: set[int] = set()
-    root_order = [r for r in roots if not (r in seen_roots or seen_roots.add(r))]
-    merged = HWGraph(kind=DFG, nodes=nodes, edges=edges, design_name=design_name)
-    return canonical_renumber(merged, root_order)
-
-
 def dfg_graph(tree: TreeNode, top: str | None = None, design_name: str = "") -> HWGraph:
-    """Whole-design DFG: one fragment per driven signal, merged."""
+    """Whole-design DFG: the union of one dependency fragment per driven
+    signal, in declaration order.
+
+    Each fragment is the closure of its signal's driver over the signals it
+    reads; inside a fragment every signal appears once, while operation and
+    constant nodes are fresh per occurrence.  Fragments share signal nodes
+    by hierarchical name, and parallel edges collapse.  Node ids come out in
+    DFS preorder from the fragment roots in order (successors in
+    first-insertion order), edges sorted by (src, dst).
+    """
     with deep_stack():
         elab = elaborate(tree, top)
-        driven = elab.driven_order()
-        if not driven:
-            raise EmptyGraphError(
-                f"design {design_name or top or '<unnamed>'} has no driven signals"
-            )
-        fragments = [_expr_fragment(elab, s) for s in driven]
-        g = merge_dfgs(fragments, design_name=design_name)
+    driven = elab.driven_order()
+    if not driven:
+        raise EmptyGraphError(
+            f"design {design_name or top or '<unnamed>'} has no driven signals"
+        )
+    kinds, drivers = elab.kinds, elab.drivers
+    labels: list[str] = []
+    names: list[str | None] = []
+    succ: list[list[int]] = []
+    sig_ids: dict[str, int] = {}
+    # edges into signal nodes; an edge into a fresh node cannot repeat
+    sig_edges: set[tuple[int, int]] = set()
+
+    def signal(name: str) -> int:
+        nid = sig_ids.get(name)
+        if nid is None:
+            nid = sig_ids[name] = len(labels)
+            labels.append(kinds.get(name, "signal"))
+            names.append(name)
+            succ.append([])
+        return nid
+
+    roots = [signal(s) for s in driven]
+    for root, rid in zip(driven, roots):
+        visited = {root: rid}
+        stack: list[tuple[TreeNode, int]] = [(drivers[root], rid)]
+        while stack:
+            expr, dep = stack.pop()
+            label = expr.label
+            if label == "Identifier":
+                nid = visited.get(expr.name)
+                if nid is None:
+                    nid = visited[expr.name] = signal(expr.name)
+                    if expr.name in drivers:
+                        stack.append((drivers[expr.name], nid))
+                if (dep, nid) not in sig_edges:
+                    sig_edges.add((dep, nid))
+                    succ[dep].append(nid)
+                continue
+            nid = len(labels)
+            if label in ("IntConst", "ParamRef"):
+                labels.append("const")
+                names.append(expr.name)
+            else:
+                if label == "_Gate":
+                    label = _GATE_LABEL[expr.name]
+                elif label == "Cond":
+                    label = "Branch"
+                if label not in DFG_OP_LABELS:
+                    raise VerilogSyntaxError(f"expression {expr.label} has no dataflow lowering")
+                labels.append(label)
+                names.append(None)
+                stack.extend([(c, nid) for c in reversed(expr.children)])
+            succ.append([])
+            succ[dep].append(nid)
+
+    order: list[int] = []
+    new_id = [-1] * len(labels)
+    for rid in roots:
+        pending = [rid]
+        while pending:
+            v = pending.pop()
+            if new_id[v] < 0:
+                new_id[v] = len(order)
+                order.append(v)
+                pending.extend(reversed(succ[v]))
+    g = HWGraph(
+        kind=DFG,
+        nodes=list(map(GraphNode, range(len(order)), map(labels.__getitem__, order),
+                       map(names.__getitem__, order))),
+        edges=[(i, d) for i, v in enumerate(order) for d in sorted(map(new_id.__getitem__, succ[v]))],
+        design_name=design_name,
+    )
     g.validate()
     return g

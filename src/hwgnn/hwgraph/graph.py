@@ -93,35 +93,3 @@ class HWGraph:
         if not all(seen):
             raise ValueError("AST has unreachable nodes")
 
-
-def canonical_renumber(g: HWGraph, roots: list[int]) -> HWGraph:
-    """Renumber node ids in DFS preorder from the given roots.
-
-    Roots are visited in the given order; successors in edge-insertion
-    order.  Every node must be reachable from some root.  Edges come out
-    deduplicated and sorted by (src, dst).
-    """
-    adj = g.out_adjacency()
-    order: list[int] = []
-    seen = [False] * len(g.nodes)
-
-    def visit(start: int) -> None:
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if seen[v]:
-                continue
-            seen[v] = True
-            order.append(v)
-            stack.extend(reversed(adj[v]))
-
-    for r in roots:
-        visit(r)
-    if not all(seen):
-        missing = [i for i, s in enumerate(seen) if not s]
-        raise ValueError(f"nodes unreachable from roots: {missing[:5]}")
-
-    remap = {old: new for new, old in enumerate(order)}
-    nodes = [GraphNode(remap[v], g.nodes[v].label, g.nodes[v].name) for v in order]
-    edges = sorted({(remap[s], remap[d]) for s, d in g.edges})
-    return HWGraph(kind=g.kind, nodes=nodes, edges=edges, design_name=g.design_name)

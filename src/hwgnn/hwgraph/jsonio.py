@@ -7,6 +7,7 @@ the schema and reports violations by JSON-pointer path.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from ..errors import SchemaViolationError
@@ -14,16 +15,29 @@ from .graph import AST, DFG, GraphNode, HWGraph
 from .source import read_text
 
 
+_NODE = '    {\n      "id": %d,\n      "label": %s,\n      "name": %s\n    }'
+_EDGE = '    {\n      "src": %d,\n      "dst": %d\n    }'
+
+
+def _array(key: str, items: list[str]) -> str:
+    if not items:
+        return f'  "{key}": []'
+    return f'  "{key}": [\n' + ",\n".join(items) + "\n  ]"
+
+
 def graph_to_json(g: HWGraph) -> str:
+    """The canonical text: what ``json.dumps(doc, indent=2,
+    ensure_ascii=False)`` gives, written from fixed templates with each
+    distinct string encoded once."""
     nodes = sorted(g.nodes, key=lambda n: n.id)
-    edges = sorted(g.edges)
-    doc = {
-        "design": g.design_name,
-        "kind": g.kind,
-        "nodes": [{"id": n.id, "label": n.label, "name": n.name} for n in nodes],
-        "edges": [{"src": s, "dst": d} for s, d in edges],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    text = {s: "null" if s is None else encode_basestring(s)
+            for s in {n.label for n in nodes} | {n.name for n in nodes}}
+    return "".join((
+        '{\n  "design": ', encode_basestring(g.design_name),
+        ',\n  "kind": ', encode_basestring(g.kind), ",\n",
+        _array("nodes", [_NODE % (n.id, text[n.label], text[n.name]) for n in nodes]), ",\n",
+        _array("edges", [_EDGE % (s, d) for s, d in sorted(g.edges)]), "\n}\n",
+    ))
 
 
 def _require(doc: dict, key: str, types, pointer: str):

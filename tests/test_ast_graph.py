@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from hwgnn import synth
-from hwgnn.hwgraph import GraphNode, HWGraph, canonical_renumber
+from hwgnn.hwgraph import GraphNode, HWGraph
 from hwgnn.hwgraph.parser import AST_LABELS
 
 from conftest import ast_of
+from dfg_reference import canonical_renumber
 
 ONE_LINER = "module top(input a, input b, output c);\n  assign c = a & b;\nendmodule\n"
 
@@ -98,6 +99,7 @@ class TestValidate:
             g.validate()
 
 
+# the renumbering of the DFG reference construction (tests/dfg_reference.py)
 class TestCanonicalRenumber:
     def test_preorder_from_root(self):
         nodes = [GraphNode(0, "signal", "a"), GraphNode(1, "signal", "b"),

@@ -686,7 +686,8 @@ class TestCache:
         assert main(["infer-ht", "--config", cfg, str(good), str(bad)]) == 1
         captured = capsys.readouterr()
         assert captured.out.splitlines() == want[:1]
-        assert captured.err.startswith(f"error: {bad.name}: {entry}: checksum mismatch")
+        assert captured.err.startswith(
+            f"error: {bad.name}: CacheCorruptError: {entry}: checksum mismatch")
 
     def run(self, tmp_path):
         return cli.Run(build_parser().parse_args(["embed", "--cache", str(tmp_path / "cache")]))

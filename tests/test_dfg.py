@@ -2,9 +2,14 @@
 
 The oracle tests rebuild expected node/edge sets straight from the
 generator's expression tuples, without going through the parser, so the
-two paths are independent.
+two paths are independent.  The differential tests hold the one-pass
+``dfg_graph`` to the fragment-and-merge construction in ``dfg_reference``
+byte for byte.
 """
+import importlib.util
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dfg_of, labels_of, named
+from dfg_reference import dfg_for_signal, merge_dfgs, reference_dfg
 from hwgnn import synth
 from hwgnn.errors import (
     ElaborationDepthError,
@@ -19,7 +25,16 @@ from hwgnn.errors import (
     UnknownModuleError,
     UnknownSignalError,
 )
-from hwgnn.hwgraph import dfg_for_signal, dfg_graph, merge_dfgs, parse_verilog
+from hwgnn.hwgraph import (
+    dfg_graph,
+    find_top_module,
+    flatten,
+    graph_to_json,
+    load_design_dir,
+    parse_verilog,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 AND_MODULE = """
 module m;
@@ -445,3 +460,61 @@ class TestDependencyClosureOracle:
         for n in g.nodes:
             if outdeg[n.id] == 0:
                 assert n.label in ("const", "input")
+
+
+# --- one pass against the fragment-and-merge reference ---
+
+
+def assert_matches_reference(tree, top=None, name="t"):
+    want = graph_to_json(reference_dfg(tree, top=top, design_name=name))
+    assert graph_to_json(dfg_graph(tree, top=top, design_name=name)) == want
+
+
+def assert_corpus_matches_reference(designs_dir: Path) -> int:
+    designs = sorted(p for p in designs_dir.iterdir() if p.is_dir())
+    for d in designs:
+        flat = flatten(load_design_dir(d), name=d.name)
+        top = find_top_module(flat)
+        flat.top_module = top
+        assert_matches_reference(parse_verilog(flat), top=top, name=d.name)
+    return len(designs)
+
+
+def load_gen():
+    """perfbench/gen.py, loaded by path; it puts perfbench/ on sys.path to
+    import its walker, which is undone here."""
+    saved = list(sys.path)
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("corpus, count", [("ht", 60), ("ip", 40)])
+    def test_bundled_corpus(self, corpus, count):
+        assert assert_corpus_matches_reference(ROOT / "corpus" / corpus) == count
+
+    @pytest.mark.parametrize("corpus, count", [("extract", 24), ("screen", 12)])
+    def test_benchmark_corpus_at_seed_1(self, corpus, count, tmp_path):
+        # 250-10k-node chain, hier and gln designs
+        load_gen().generate(corpus, 1, tmp_path)
+        assert assert_corpus_matches_reference(tmp_path / "designs") == count
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=6, max_value=40))
+    def test_random_modules(self, seed, max_signals):
+        mod = synth.random_assign_module(np.random.default_rng(seed), max_signals=max_signals)
+        assert_matches_reference(parse_verilog(mod.text))
+
+    @pytest.mark.parametrize("text, top", [
+        (SHARED_DEP, None),
+        (HIERARCHY, "top"),
+        ("module m;\n  wire a, b;\n  assign a = b ^ a;\n  assign b = a & b;\nendmodule", None),
+    ])
+    def test_shared_hierarchical_and_cyclic_designs(self, text, top):
+        assert_matches_reference(parse_verilog(text), top=top)

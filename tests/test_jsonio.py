@@ -2,6 +2,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ast_of, dfg_of
 from hwgnn.errors import SchemaViolationError, UndecodableFileError
@@ -130,6 +132,52 @@ class TestRoundTrip:
         path.write_bytes(graph_to_json(tiny_dfg()).encode("utf-8") + b"\xff")
         with pytest.raises(UndecodableFileError, match=r"g\.json: not UTF-8"):
             read_graph(path)
+
+
+def dumps_reference(g) -> str:
+    """The canonical text as the stdlib's indenting encoder writes it."""
+    doc = {
+        "design": g.design_name,
+        "kind": g.kind,
+        "nodes": [{"id": n.id, "label": n.label, "name": n.name}
+                  for n in sorted(g.nodes, key=lambda n: n.id)],
+        "edges": [{"src": s, "dst": d} for s, d in sorted(g.edges)],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+# quote, backslash, control characters, non-ASCII and U+2028, plus any text
+TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "é", "名", "\u2028", "\U0001f600"])
+STRINGS = st.one_of(TRICKY, st.lists(TRICKY, min_size=2, max_size=4).map("".join), st.text())
+
+
+@st.composite
+def graphs(draw):
+    """Graphs with nodes and edges in any order, possibly empty."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    ids = draw(st.permutations(range(n)))
+    nodes = [GraphNode(i, draw(STRINGS.filter(bool)), draw(st.none() | STRINGS)) for i in ids]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=20)) if n else []
+    return HWGraph(kind=draw(st.sampled_from(["AST", "DFG"])), nodes=nodes, edges=edges,
+                   design_name=draw(STRINGS))
+
+
+class TestWriterMatchesJsonDumps:
+    @settings(max_examples=100, deadline=None)
+    @given(graphs())
+    def test_random_graphs(self, g):
+        assert graph_to_json(g) == dumps_reference(g)
+
+    @pytest.mark.parametrize("nodes, edges", [
+        ([], []),
+        ([GraphNode(0, "signal", None)], []),
+        ([GraphNode(0, "signal", "a")], [(0, 0)]),
+        ([GraphNode(1, "const", "x\u2028\"\\"), GraphNode(0, "And", None)], [(1, 0), (0, 1)]),
+    ])
+    def test_edge_cases(self, nodes, edges):
+        g = HWGraph(kind="DFG", nodes=nodes, edges=edges, design_name="d\x01")
+        assert graph_to_json(g) == dumps_reference(g)
 
 
 def violation(doc):
