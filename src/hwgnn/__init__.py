@@ -1,9 +1,10 @@
 """Graph extraction and graph-network analysis for Verilog hardware designs.
 
-The package turns RTL or gate-level Verilog into abstract syntax trees or
-data-flow graphs, embeds them with a small message-passing network built on
-an in-house autodiff core, and trains two task heads: a Trojan/clean graph
-classifier and a Siamese cosine-similarity model for IP-piracy detection.
+The package turns register-transfer-level or gate-level Verilog into
+abstract syntax trees or data-flow graphs, embeds them with a small
+message-passing network built on an in-house autodiff core, and trains two
+task heads: a Trojan/clean graph classifier and a Siamese cosine-similarity
+model for IP-piracy detection.
 """
 from . import errors, graph2vec, graphdata, hwgraph, learnpipe, nncore
 from .errors import HwgnnError
@@ -25,8 +26,6 @@ from .graphdata import (
 from .hwgraph import (
     AST,
     DFG,
-    GLN,
-    RTL,
     HWGraph,
     SourceUnit,
     graph_from_json,
@@ -83,8 +82,6 @@ __all__ = [
     "split",
     "AST",
     "DFG",
-    "GLN",
-    "RTL",
     "HWGraph",
     "SourceUnit",
     "graph_from_json",

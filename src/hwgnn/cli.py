@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import yaml
@@ -92,8 +93,7 @@ class Run:
         self.seed, self.ratio = c["seed"], c["ratio"]
         self.top, self.leave_out = c["top"], c["leave_out"]
         self.jobs = c["jobs"] or os.cpu_count() or 1
-        # "ast"/"dfg" and "rtl"/"gln" in any case name the AST/DFG and RTL/GLN constants
-        self.kind, self.abstraction = c["kind"].upper(), c["abstraction"].upper()
+        self.kind = c["kind"].upper()  # "ast"/"dfg" in any case name the AST/DFG constants
         self.out = Path(c["out"])
         self.cache = None if c["cache"] is None else Path(c["cache"])
         for key, p in (("out", self.out), ("cache", self.cache)):
@@ -159,19 +159,22 @@ def _labeled_designs(run: Run, key: str):
     return designs, manifest, values
 
 
-# --- graph extraction (shared by every command) ---
+# --- graph extraction (one path for every command) ---
 
-def _extract_one(path: Path, kind: str, abstraction: str, top: str | None):
-    design = load_design_dir(path, abstraction)
+def _extract(path: Path, kind: str, top: str | None, design=None):
+    """The design's graph, named after its directory; reads the design's
+    files unless the caller has read them already."""
+    if design is None:
+        design = load_design_dir(path)
     return hw2graph(design, kind, top=top, design_name=path.name)
 
 
 def _graph_worker(task: tuple) -> tuple:
-    path_str, kind, abstraction, top, out_dir = task
+    path_str, kind, top, out_dir = task
     path = Path(path_str)
     started = time.perf_counter()
     try:
-        g = _extract_one(path, kind, abstraction, top)
+        g = _extract(path, kind, top)
         out = Path(out_dir) / f"{path.name}.{kind.lower()}.json"
         write_graph(g, out)
         return (path.name, g.num_nodes, g.num_edges, time.perf_counter() - started, None)
@@ -179,12 +182,54 @@ def _graph_worker(task: tuple) -> tuple:
         return (path.name, 0, 0, time.perf_counter() - started, f"{type(exc).__name__}: {exc}")
 
 
+def _tensors(run: Run, paths: list[Path], vocab=None, labels=None):
+    """Each design's tensors, in ``paths`` order, and the vocabulary.
+
+    Designs are read and extracted one at a time in ``paths`` order, so the
+    first failure raised is the first failing design.  With no ``vocab``
+    (training) every design is extracted and normalized, the vocabulary is
+    built from the graphs and then each one is encoded, so a cache hit skips
+    only the encoding.  With a ``vocab`` a hit on the design's sources skips
+    extraction too.  A miss encodes and stores the result."""
+    labels = labels or {}
+
+    def graph(p: Path, design):
+        return graphdata.normalize(_extract(p, run.kind, run.top, design))
+
+    def encoded(p: Path, design, vocab, g=None):
+        key = None
+        if run.cache is not None:
+            key = graphdata.cache_key(p, design, run.kind, run.top, vocab)
+            hit = graphdata.cache_get(run.cache, key)
+            if hit is not None:
+                hit.label = labels.get(p.name)  # the stored label is its writer's
+                return hit
+        tensors = graphdata.encode(graph(p, design) if g is None else g, vocab,
+                                   label=labels.get(p.name))
+        if key is not None:
+            graphdata.cache_put(run.cache, key, tensors)
+        return tensors
+
+    # a generator, so each design is read just before it is extracted
+    designs = ((p, load_design_dir(p)) for p in paths)
+    if vocab is not None:
+        return [encoded(p, design, vocab) for p, design in designs], vocab
+    extracted = [(p, design, graph(p, design)) for p, design in designs]
+    vocab = graphdata.build_vocab([g for _, _, g in extracted])
+    return [encoded(p, design, vocab, g) for p, design, g in extracted], vocab
+
+
 def _input_paths(run: Run) -> list[Path]:
+    """The command-line design directories, else the corpus's; two designs
+    with one name are a ConfigError, since their outputs would collide."""
     paths = [Path(p) for p in run.args.inputs]
     if not paths and run.cfg["corpus"]:
         paths = _design_dirs(run.corpus)
     if not paths:
         raise ConfigError("no input design directories (give paths or set 'corpus')")
+    dups = sorted(name for name, n in Counter(p.name for p in paths).items() if n > 1)
+    if dups:
+        raise ConfigError(f"duplicate design names: {', '.join(dups)}")
     return paths
 
 
@@ -192,7 +237,7 @@ def cmd_graph(run: Run) -> int:
     inputs = _input_paths(run)
     out_dir = run.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(str(p), run.kind, run.abstraction, run.top, str(out_dir)) for p in inputs]
+    tasks = [(str(p), run.kind, run.top, str(out_dir)) for p in inputs]
     if len(tasks) == 1 or run.jobs == 1:
         rows = [_graph_worker(t) for t in tasks]
     else:
@@ -212,46 +257,6 @@ def cmd_graph(run: Run) -> int:
     for name, err in failures:
         print(f"error: {name}: {err}", file=sys.stderr)
     return 1 if failures else 0
-
-
-# --- encoding (shared by the learning and inference commands) ---
-
-def _graph(run: Run, path: Path, design):
-    return graphdata.normalize(hw2graph(design, run.kind, top=run.top, design_name=path.name))
-
-
-def _encode(run: Run, path: Path, design, vocab, label=None, graph=None):
-    """The design's tensors.  With a cache, a hit on the design's sources
-    skips extraction and encoding; a miss extracts (unless the caller passes
-    the ``graph`` it already extracted), encodes and stores the result."""
-    key = None
-    if run.cache is not None:
-        key = graphdata.cache_key(path, design, run.kind, run.top, vocab)
-        hit = graphdata.cache_get(run.cache, key)
-        if hit is not None:
-            hit.label = label  # the stored label is its writer's, not the caller's
-            return hit
-    if graph is None:
-        graph = _graph(run, path, design)
-    tensors = graphdata.encode(graph, vocab, label=label)
-    if key is not None:
-        graphdata.cache_put(run.cache, key, tensors)
-    return tensors
-
-
-def _encode_corpus(run: Run, designs: list[Path], labels: dict | None = None):
-    """Extract and normalize every design, build the vocabulary from the
-    graphs, then encode each one; returns (tensors by design name, vocab)."""
-    extracted = []
-    for p in designs:
-        design = load_design_dir(p, run.abstraction)
-        extracted.append((p, design, _graph(run, p, design)))
-    vocab = graphdata.build_vocab([g for _, _, g in extracted])
-    tensors = {
-        p.name: _encode(run, p, design, vocab, labels.get(p.name) if labels else None, g)
-        for p, design, g in extracted
-    }
-    return tensors, vocab
 
 
 # --- dataset assembly for the learning commands ---
@@ -295,7 +300,8 @@ def cmd_train_ht(run: Run) -> int:
         except BadLabelError as exc:
             raise ConfigError(f"manifest entry for {name!r}: {exc}") from None
     part = _split_ids(run, sorted(p.name for p in designs), manifest)
-    tensors, vocab = _encode_corpus(run, designs, labels)
+    encoded, vocab = _tensors(run, designs, labels=labels)
+    tensors = dict(zip((p.name for p in designs), encoded))
     ckpt = learnpipe.train_graph_classifier(
         [tensors[i] for i in part.train],
         [tensors[i] for i in part.test],
@@ -314,7 +320,8 @@ def cmd_train_ht(run: Run) -> int:
 def cmd_train_ip(run: Run) -> int:
     designs, manifest, category_of = _labeled_designs(run, "category")
     part = _split_ids(run, sorted(p.name for p in designs), manifest)
-    tensors, vocab = _encode_corpus(run, designs)
+    encoded, vocab = _tensors(run, designs)
+    tensors = dict(zip((p.name for p in designs), encoded))
     train_pairs = graphdata.make_pairs(part.train, category_of)
     test_pairs = graphdata.make_pairs(part.test, category_of)
     ckpt = learnpipe.train_pair_model(
@@ -340,14 +347,10 @@ def _load_model_and_vocab(run: Run):
     return ckpt.model, vocab
 
 
-def _encode_inputs(run: Run, paths: list[Path], vocab):
-    return [_encode(run, p, load_design_dir(p, run.abstraction), vocab) for p in paths]
-
-
 def cmd_embed(run: Run) -> int:
     model, vocab = _load_model_and_vocab(run)
     paths = _input_paths(run)
-    tensors = _encode_inputs(run, paths, vocab)
+    tensors, _ = _tensors(run, paths, vocab)
     run.out.mkdir(parents=True, exist_ok=True)
     out = run.out / "embeddings.tsv"
     learnpipe.export_embeddings(model, tensors, out)
@@ -361,7 +364,7 @@ def cmd_infer_ht(run: Run) -> int:
     failures = 0
     for p in paths:
         try:
-            t = _encode_inputs(run, [p], vocab)[0]
+            [t], _ = _tensors(run, [p], vocab)
             print(f"{p.name}\t{learnpipe.predict_ht(model, t)}")
         except HwgnnError as exc:
             failures += 1
@@ -372,7 +375,7 @@ def cmd_infer_ht(run: Run) -> int:
 def cmd_infer_ip(run: Run) -> int:
     model, vocab = _load_model_and_vocab(run)
     a, b = Path(run.args.design_a), Path(run.args.design_b)
-    ta, tb = _encode_inputs(run, [a, b], vocab)
+    (ta, tb), _ = _tensors(run, [a, b], vocab)
     sim = learnpipe.pair_similarity_value(model, ta, tb)
     verdict = learnpipe.piracy_verdict(sim, run.train.delta)
     print(f"{a.name}\t{b.name}\tsimilarity={sim:.6f}\tverdict={verdict}")

@@ -186,12 +186,12 @@ def cache_key(root: Path, design: SourceUnit, kind: str, top: str | None,
               vocab: NodeVocab) -> str:
     """Hash of every input that extraction and encoding read, so a hit
     needs no extraction: the extractor version, the design name
-    ``root.name`` (a hit returns it as graph_id), kind, top, abstraction,
-    the vocabulary fingerprint, and each file's path relative to ``root``
-    with its text, in ``design.files`` order, every field length-prefixed."""
+    ``root.name`` (a hit returns it as graph_id), kind, top, the vocabulary
+    fingerprint, and each file's path relative to ``root`` with its text,
+    in ``design.files`` order, every field length-prefixed."""
     root = Path(root)
-    head = json.dumps([EXTRACTOR_VERSION, root.name, kind, top, design.abstraction,
-                       vocab.fingerprint, len(design.files)])
+    head = json.dumps([EXTRACTOR_VERSION, root.name, kind, top, vocab.fingerprint,
+                       len(design.files)])
     h = hashlib.sha256(_framed(head.encode("ascii")))
     for path, text in design.files:
         h.update(_framed(path.relative_to(root).as_posix().encode("utf-8")))

@@ -12,8 +12,6 @@ from .jsonio import graph_from_json, graph_to_json, read_graph, write_graph
 from .parser import AST_LABELS, TreeNode, parse_verilog
 from .pipeline import hw2graph
 from .source import (
-    GLN,
-    RTL,
     FlatDesign,
     SourceUnit,
     find_top_module,
@@ -25,8 +23,6 @@ from .source import (
 __all__ = [
     "AST",
     "DFG",
-    "RTL",
-    "GLN",
     "AST_LABELS",
     "DFG_LABELS",
     "DFG_OP_LABELS",

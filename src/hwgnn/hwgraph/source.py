@@ -14,9 +14,6 @@ from ..errors import (
     UnresolvedIncludeError,
 )
 
-RTL = "RTL"
-GLN = "GLN"
-
 _INCLUDE_RE = re.compile(r'`include\s*"([^"]+)"')
 # compiler directives we drop wholesale (to end of line)
 _DIRECTIVE_RE = re.compile(
@@ -28,14 +25,10 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
 @dataclass
 class SourceUnit:
-    """One hardware design: an ordered set of Verilog files.
-
-    ``abstraction`` records whether the files describe behavioral RTL or a
-    gate-level netlist; both go through the same front end.
-    """
+    """One hardware design: an ordered set of Verilog files, behavioral or
+    a gate-level netlist; both go through the same front end."""
 
     files: list[tuple[Path, str]]
-    abstraction: str = RTL
 
 
 @dataclass
@@ -191,10 +184,10 @@ def read_text(path: Path) -> str:
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def load_design_dir(root: Path, abstraction: str = RTL) -> SourceUnit:
+def load_design_dir(root: Path) -> SourceUnit:
     """Read every .v file under ``root`` (sorted, recursive)."""
     root = Path(root)
     if not root.is_dir():
         raise EmptySourceError(f"design directory not found: {root}")
     files = [(p, read_text(p)) for p in sorted(root.rglob("*.v"))]
-    return SourceUnit(files=files, abstraction=abstraction)
+    return SourceUnit(files=files)

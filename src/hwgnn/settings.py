@@ -88,8 +88,6 @@ SETTINGS = [
     Setting("top", "labels", None, text("FILE"), "label manifest (default <corpus>/labels.json)"),
     Setting("top", "kind", "dfg", choice("ast", "dfg", any_case=True),
             "graph representation to extract"),
-    Setting("top", "abstraction", "rtl", choice("rtl", "gln", any_case=True),
-            "source abstraction level"),
     Setting("top", "top", None, text("NAME"), "top module override for single-design commands"),
     Setting("top", "cache", None, text("DIR"), "encoded-tensor cache keyed on design sources"),
     Setting("top", "out", ".", text("DIR"), "output directory"),

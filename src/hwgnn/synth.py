@@ -61,6 +61,9 @@ def _render_expr(expr: tuple) -> str:
 
 
 def random_assign_module(rng: np.random.Generator, max_signals: int = 15, name: str = "rnd") -> SynthModule:
+    # up to 4 inputs leave a budget of at least 2, so one output can be drawn
+    if max_signals < 6:
+        raise ValueError("max_signals must be at least 6")
     n_inputs = int(rng.integers(2, 5))
     budget = max_signals - n_inputs
     n_outputs = int(rng.integers(1, min(4, budget)))

@@ -24,7 +24,6 @@ from hwgnn.cli import main
 from hwgnn.graph2vec import build_model, classify, embed
 from hwgnn.hwgraph import (
     AST,
-    RTL,
     graph_from_json,
     graph_to_json,
     hw2graph,
@@ -285,7 +284,7 @@ def test_criterion_9_bundled_corpus_syntax_trees():
             if not d.is_dir():
                 continue
             started = time.perf_counter()
-            g = hw2graph(load_design_dir(d, RTL), AST, design_name=d.name)
+            g = hw2graph(load_design_dir(d), AST, design_name=d.name)
             elapsed = time.perf_counter() - started
             g.validate()
             assert g.num_edges == g.num_nodes - 1, d.name

@@ -107,16 +107,18 @@ class TestConfigHandling:
         assert main(["graph", "--config", cfg, str(d)]) == 2
         assert "kind must be" in capsys.readouterr().err
 
-    def test_bad_abstraction_value(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.yml", abstraction="netlist")
+    def test_abstraction_is_an_unknown_key(self, tmp_path, capsys):
+        # both abstraction levels share one front end, so no setting picks one
+        cfg = write_config(tmp_path / "c.yml", abstraction="rtl")
         d = make_design(tmp_path, "d1")
         assert main(["graph", "--config", cfg, str(d)]) == 2
-        assert "abstraction must be" in capsys.readouterr().err
+        assert "unknown config keys: abstraction" in capsys.readouterr().err
 
     def test_bad_train_values_are_config_errors(self, tmp_path, capsys, ht_corpus_dir,
                                                 monkeypatch):
-        # each bad value must be caught before a single design is extracted
-        monkeypatch.setattr(cli, "_extract_one", lambda *a: pytest.fail("design was read"))
+        # each bad value must be caught before a single design is read; every
+        # command reads designs through this one call
+        monkeypatch.setattr(cli, "load_design_dir", lambda *a: pytest.fail("design was read"))
         designs = sorted(p for p in ht_corpus_dir.iterdir() if p.is_dir())
         manifest = json.loads((ht_corpus_dir / "labels.json").read_text(encoding="utf-8"))
         manifest[designs[0].name]["label"] = "Trojn"
@@ -176,7 +178,7 @@ class TestConfigHandling:
 
     def test_help_documents_every_config_key(self):
         text = build_parser().format_help()
-        for key in ("corpus", "labels", "kind", "abstraction", "top", "cache",
+        for key in ("corpus", "labels", "kind", "top", "cache",
                     "out", "checkpoint", "seed", "ratio", "leave_out", "jobs",
                     "train"):
             assert f"{key}:" in text
@@ -263,6 +265,23 @@ class TestGraphCommand:
             a = (tmp_path / "a" / f"{name}.dfg.json").read_bytes()
             b = (tmp_path / "b" / f"{name}.dfg.json").read_bytes()
             assert a == b
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_duplicate_design_names_are_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                       jobs):
+        # two graphs named d1 would be written to one d1.dfg.json
+        a, b = make_design(tmp_path / "a", "d1"), make_design(tmp_path / "b", "d1", NOT_MODULE)
+        make_design(tmp_path / "a", "d2")
+        monkeypatch.setattr(cli, "load_design_dir", lambda *a: pytest.fail("design was read"))
+        cfg = write_config(tmp_path / "c.yml", jobs=jobs)
+        out = tmp_path / "out"
+        argv = ["graph", "--config", cfg, "--out", str(out), str(a), str(tmp_path / "a" / "d2"),
+                str(b)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate design names: d1\n"
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         d = make_design(tmp_path, "tiny")
@@ -537,6 +556,17 @@ class TestInferHt:
         assert "error: bad:" in captured.err
 
 
+    def test_duplicate_design_names_are_a_config_error(self, ht_artifacts, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yml", checkpoint=str(ht_artifacts / "model.ckpt"))
+        a, b = make_design(tmp_path / "a", "d1"), make_design(tmp_path / "b", "d1")
+        for command in ("embed", "infer-ht"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                         str(a), str(b)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: duplicate design names: d1\n"
+
+
 class TestInferIp:
     def test_identical_designs_score_one_and_piracy(self, ip_artifacts, ip_corpus_dir,
                                                     tmp_path, capsys):
@@ -560,6 +590,20 @@ class TestInferIp:
         verdict = fields[3].removeprefix("verdict=")
         assert -1.0 <= sim <= 1.0
         assert verdict == ("Piracy" if sim > 0.5 else "Non_Piracy")
+
+
+    def test_designs_of_one_name_compare(self, ip_artifacts, ip_corpus_dir, tmp_path,
+                                         capsys):
+        # unlike embed and infer-ht, infer-ip may compare two versions of one design
+        cfg = write_config(tmp_path / "c.yml", checkpoint=str(ip_artifacts / "model.ckpt"))
+        a, b = ip_corpus_dir / "ip_adder_v0", ip_corpus_dir / "ip_parity_v0"
+        assert main(["infer-ip", "--config", cfg, str(a), str(b)]) == 0
+        want = capsys.readouterr().out.split("\t", 2)[2]
+        v1, v2 = tmp_path / "v1" / "alu", tmp_path / "v2" / "alu"
+        shutil.copytree(a, v1)
+        shutil.copytree(b, v2)
+        assert main(["infer-ip", "--config", cfg, str(v1), str(v2)]) == 0
+        assert capsys.readouterr().out == f"alu\talu\t{want}"
 
 
 class TestCache:
@@ -695,22 +739,21 @@ class TestCache:
     def test_warm_encode_runs_no_extraction(self, tmp_path, monkeypatch):
         d = make_design(tmp_path / "in", "d1")
         run = self.run(tmp_path)
-        g = graphdata.normalize(cli.hw2graph(cli.load_design_dir(d), "DFG", design_name="d1"))
-        vocab = graphdata.build_vocab([g])
-        first = cli._encode(run, d, cli.load_design_dir(d), vocab)
+        _, vocab = cli._tensors(run, [d])
+        [first], _ = cli._tensors(run, [d], vocab)
         self.no_extraction(monkeypatch)
         monkeypatch.setattr(graphdata, "encode", lambda *a, **k: pytest.fail("cache missed"))
-        second = cli._encode(run, d, cli.load_design_dir(d), vocab)
+        [second], _ = cli._tensors(run, [d], vocab)
         assert second.X.tobytes() == first.X.tobytes()
         assert second.A.tobytes() == first.A.tobytes()
         assert second.graph_id == first.graph_id == "d1"
 
-    def test_hit_takes_the_callers_label(self, tmp_path):
+    def test_hit_takes_the_callers_label(self, tmp_path, monkeypatch):
         d = make_design(tmp_path / "in", "d1")
         run = self.run(tmp_path)
-        design = cli.load_design_dir(d)
-        g = graphdata.normalize(cli.hw2graph(design, "DFG", design_name="d1"))
-        vocab = graphdata.build_vocab([g])
-        assert cli._encode(run, d, design, vocab, label="Trojan", graph=g).label == "Trojan"
-        assert cli._encode(run, d, design, vocab, label=1).label == 1
-        assert cli._encode(run, d, design, vocab).label is None
+        [stored], vocab = cli._tensors(run, [d], labels={"d1": "Trojan"})
+        assert stored.label == "Trojan"
+        monkeypatch.setattr(graphdata, "encode", lambda *a, **k: pytest.fail("cache missed"))
+        assert cli._tensors(run, [d], labels={"d1": 1})[0][0].label == 1
+        assert cli._tensors(run, [d], vocab, labels={"d1": 0})[0][0].label == 0
+        assert cli._tensors(run, [d], vocab)[0][0].label is None

@@ -41,8 +41,6 @@ from hwgnn.graphdata import (
 from hwgnn.hwgraph import (
     AST,
     DFG,
-    GLN,
-    RTL,
     GraphNode,
     HWGraph,
     SourceUnit,
@@ -351,9 +349,9 @@ class TestCache:
         self.g = normalize(tiny_dfg())
         self.vocab = build_vocab([self.g])
 
-    def key(self, root=None, kind=DFG, top=None, vocab=None, abstraction=RTL):
+    def key(self, root=None, kind=DFG, top=None, vocab=None):
         root = self.root if root is None else root
-        return cache_key(root, load_design_dir(root, abstraction), kind, top,
+        return cache_key(root, load_design_dir(root), kind, top,
                          self.vocab if vocab is None else vocab)
 
     def test_round_trip_bit_identical(self, tmp_path):
@@ -411,9 +409,9 @@ class TestCache:
         shutil.copytree(self.root, moved)
         assert self.key(moved) == self.key()
 
-    def test_key_tracks_kind_top_and_abstraction(self):
-        keys = {self.key(), self.key(kind=AST), self.key(top="m"), self.key(abstraction=GLN)}
-        assert len(keys) == 4
+    def test_key_tracks_kind_and_top(self):
+        keys = {self.key(), self.key(kind=AST), self.key(top="m")}
+        assert len(keys) == 3
 
     def test_key_tracks_extractor_version(self, monkeypatch):
         before = self.key()

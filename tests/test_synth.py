@@ -48,6 +48,16 @@ class TestRandomAssignModule:
         mod = synth.random_assign_module(np.random.default_rng(0))
         parse_verilog(mod.text)
 
+    @pytest.mark.parametrize("max_signals", range(6))
+    def test_budget_under_six_is_rejected(self, max_signals):
+        with pytest.raises(ValueError, match="^max_signals must be at least 6$"):
+            synth.random_assign_module(np.random.default_rng(0), max_signals=max_signals)
+
+    def test_smallest_budget_fits(self):
+        for seed in range(100):
+            mod = synth.random_assign_module(np.random.default_rng(seed), max_signals=6)
+            assert len(mod.decl_order) <= 6
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
     def test_description_invariants(self, seed):
