@@ -272,7 +272,7 @@ class TestGraphCommand:
         # two graphs named d1 would be written to one d1.dfg.json
         a, b = make_design(tmp_path / "a", "d1"), make_design(tmp_path / "b", "d1", NOT_MODULE)
         make_design(tmp_path / "a", "d2")
-        monkeypatch.setattr(cli, "load_design_dir", lambda *a: pytest.fail("design was read"))
+        monkeypatch.setattr(cli, "load_design_dir", lambda *_: pytest.fail("design was read"))
         cfg = write_config(tmp_path / "c.yml", jobs=jobs)
         out = tmp_path / "out"
         argv = ["graph", "--config", cfg, "--out", str(out), str(a), str(tmp_path / "a" / "d2"),
@@ -555,7 +555,6 @@ class TestInferHt:
         assert good.name in captured.out
         assert "error: bad:" in captured.err
 
-
     def test_duplicate_design_names_are_a_config_error(self, ht_artifacts, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yml", checkpoint=str(ht_artifacts / "model.ckpt"))
         a, b = make_design(tmp_path / "a", "d1"), make_design(tmp_path / "b", "d1")
@@ -590,7 +589,6 @@ class TestInferIp:
         verdict = fields[3].removeprefix("verdict=")
         assert -1.0 <= sim <= 1.0
         assert verdict == ("Piracy" if sim > 0.5 else "Non_Piracy")
-
 
     def test_designs_of_one_name_compare(self, ip_artifacts, ip_corpus_dir, tmp_path,
                                          capsys):
