@@ -161,12 +161,18 @@ def _labeled_designs(run: Run, key: str):
 
 # --- graph extraction (one path for every command) ---
 
+def _name(path: Path) -> str:
+    """A design's name: its directory's own name, also when the path is
+    ``.`` or ends in ``..``."""
+    return Path(path).resolve().name
+
+
 def _extract(path: Path, kind: str, top: str | None, design=None):
     """The design's graph, named after its directory; reads the design's
     files unless the caller has read them already."""
     if design is None:
         design = load_design_dir(path)
-    return hw2graph(design, kind, top=top, design_name=path.name)
+    return hw2graph(design, kind, top=top, design_name=_name(path))
 
 
 def _graph_worker(task: tuple) -> tuple:
@@ -175,11 +181,11 @@ def _graph_worker(task: tuple) -> tuple:
     started = time.perf_counter()
     try:
         g = _extract(path, kind, top)
-        out = Path(out_dir) / f"{path.name}.{kind.lower()}.json"
+        out = Path(out_dir) / f"{g.design_name}.{kind.lower()}.json"
         write_graph(g, out)
-        return (path.name, g.num_nodes, g.num_edges, time.perf_counter() - started, None)
+        return (g.design_name, g.num_nodes, g.num_edges, time.perf_counter() - started, None)
     except Exception as exc:  # worker boundary: report, do not crash the pool
-        return (path.name, 0, 0, time.perf_counter() - started, f"{type(exc).__name__}: {exc}")
+        return (_name(path), 0, 0, time.perf_counter() - started, f"{type(exc).__name__}: {exc}")
 
 
 def _tensors(run: Run, paths: list[Path], vocab=None, labels=None):
@@ -202,10 +208,10 @@ def _tensors(run: Run, paths: list[Path], vocab=None, labels=None):
             key = graphdata.cache_key(p, design, run.kind, run.top, vocab)
             hit = graphdata.cache_get(run.cache, key)
             if hit is not None:
-                hit.label = labels.get(p.name)  # the stored label is its writer's
+                hit.label = labels.get(_name(p))  # the stored label is its writer's
                 return hit
         tensors = graphdata.encode(graph(p, design) if g is None else g, vocab,
-                                   label=labels.get(p.name))
+                                   label=labels.get(_name(p)))
         if key is not None:
             graphdata.cache_put(run.cache, key, tensors)
         return tensors
@@ -227,7 +233,7 @@ def _input_paths(run: Run) -> list[Path]:
         paths = _design_dirs(run.corpus)
     if not paths:
         raise ConfigError("no input design directories (give paths or set 'corpus')")
-    dups = sorted(name for name, n in Counter(p.name for p in paths).items() if n > 1)
+    dups = sorted(name for name, n in Counter(_name(p) for p in paths).items() if n > 1)
     if dups:
         raise ConfigError(f"duplicate design names: {', '.join(dups)}")
     return paths
@@ -285,7 +291,7 @@ def _save_artifacts(run: Run, ckpt, vocab, report) -> None:
     learnpipe.save_checkpoint(ckpt, out / "model.ckpt")
     graphdata.save_vocab(vocab, out / "vocab.txt")
     (out / "report.json").write_text(
-        learnpipe.report_to_json(report), encoding="utf-8"
+        learnpipe.report_to_json(report, ckpt.training()), encoding="utf-8"
     )
     print(f"checkpoint: {out / 'model.ckpt'}")
     print(f"vocabulary: {out / 'vocab.txt'}")
@@ -365,10 +371,10 @@ def cmd_infer_ht(run: Run) -> int:
     for p in paths:
         try:
             [t], _ = _tensors(run, [p], vocab)
-            print(f"{p.name}\t{learnpipe.predict_ht(model, t)}")
+            print(f"{t.graph_id}\t{learnpipe.predict_ht(model, t)}")
         except HwgnnError as exc:
             failures += 1
-            print(f"error: {p.name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            print(f"error: {_name(p)}: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -378,7 +384,7 @@ def cmd_infer_ip(run: Run) -> int:
     (ta, tb), _ = _tensors(run, [a, b], vocab)
     sim = learnpipe.pair_similarity_value(model, ta, tb)
     verdict = learnpipe.piracy_verdict(sim, run.train.delta)
-    print(f"{a.name}\t{b.name}\tsimilarity={sim:.6f}\tverdict={verdict}")
+    print(f"{ta.graph_id}\t{tb.graph_id}\tsimilarity={sim:.6f}\tverdict={verdict}")
     return 0
 
 

@@ -1,5 +1,6 @@
 """Graph embedding model: conv stack, attention top-k pooling, readout,
-and the two task heads (2-class classifier, Siamese cosine)."""
+and the two task heads (2-class classifier, Siamese cosine), for one graph
+or for a batch of graphs on one tape."""
 from __future__ import annotations
 
 import math
@@ -132,7 +133,59 @@ def build_model(arch: dict, seed: int, vocab_fingerprint: str = "") -> GnnModel:
     )
 
 
+@dataclass
+class GraphBatch:
+    """The disjoint union of graphs: stacked feature rows, message arrays
+    offset per graph, and each graph's node count (graph g holds the rows
+    after those of graphs 0..g-1)."""
+
+    X: np.ndarray
+    adj: GraphAdj
+    sizes: np.ndarray
+
+    @classmethod
+    def of(cls, graphs: list, directed: bool) -> GraphBatch:
+        """One batch of ``graphs`` (GraphTensors), joined from each graph's
+        kept message arrays."""
+        if not graphs:
+            raise EmptyPoolError("cannot batch zero graphs")
+        if len({t.X.shape[1] for t in graphs}) != 1:
+            raise ShapeMismatchError("graphs of one batch need one feature width")
+        adjs = [_adjacency(t, directed) for t in graphs]
+        sizes = np.array([a.n for a in adjs], dtype=np.intp)
+        offsets = np.cumsum(sizes) - sizes
+        n = int(sizes.sum())
+        src = np.concatenate([a.msg_src + o for a, o in zip(adjs, offsets)])
+        dst = np.concatenate([a.msg_dst + o for a, o in zip(adjs, offsets)])
+        adj = GraphAdj(n, src, dst, np.vstack([a.inv_deg for a in adjs]))
+        return cls(np.vstack([t.X for t in graphs]), adj, sizes)
+
+
+def _adjacency(tensors, directed: bool) -> GraphAdj:
+    """The graph's message arrays, built on first use and kept on it."""
+    adj = tensors.adjacency.get(directed)
+    if adj is None:
+        adj = tensors.adjacency[directed] = build_adjacency(len(tensors.X), tensors.A, directed)
+    return adj
+
+
 # --- model stages ---
+
+def _segment_topk(values: np.ndarray, pr: float, sizes: np.ndarray):
+    """Per graph of node counts ``sizes``, the k_g = ceil(pr*n_g) highest
+    scores (k_g >= 1), ties broken by lower node id: the kept indices
+    ascending, and each one's graph."""
+    if (sizes < 1).any():
+        raise EmptyPoolError("cannot pool an empty graph")
+    if values.size != sizes.sum():
+        raise ShapeMismatchError(f"{values.size} scores for {sizes.sum()} nodes")
+    k = np.maximum(1, np.ceil(pr * sizes).astype(np.intp))
+    graph = np.repeat(np.arange(sizes.size), sizes)
+    order = np.lexsort((np.arange(values.size), -values, graph))
+    # order lists graph 0's nodes first, then graph 1's, ...
+    rank = np.arange(values.size) - (np.cumsum(sizes) - sizes)[graph]
+    return np.sort(order[rank < k[graph]]), np.repeat(np.arange(sizes.size), k)
+
 
 def topk_filter(alpha, pr: float, n: int) -> list[int]:
     """Indices of the k = ceil(pr*n) highest scores (k >= 1), ties broken
@@ -143,40 +196,61 @@ def topk_filter(alpha, pr: float, n: int) -> list[int]:
         raise ShapeMismatchError(f"{values.size} scores for {n} nodes")
     if n < 1:
         raise EmptyPoolError("cannot pool an empty graph")
-    k = max(1, math.ceil(pr * n))
-    return np.sort(np.lexsort((np.arange(n), -values))[:k]).tolist()
+    return _segment_topk(values, pr, np.array([n]))[0].tolist()
 
 
-def pool_graph(X_prop: nc.Tensor, alpha: nc.Tensor, P: list[int], readout: str) -> nc.Tensor:
-    """Gate rows by tanh(score), keep rows P, and sum or average them."""
+def pool_graph(X_prop: nc.Tensor, alpha: nc.Tensor, P, readout: str,
+               segment: np.ndarray | None = None) -> nc.Tensor:
+    """Gate rows by tanh(score), keep rows P, and sum or average them: one
+    row, or one per graph of a batch with ``segment`` the graph of each
+    kept row."""
     keep = np.asarray(P, dtype=np.intp)
     if keep.size == 0:
         raise EmptyPoolError("readout over zero rows")
-    return nc.gate_pool(X_prop, alpha, keep, readout)
+    return nc.gate_pool(X_prop, alpha, keep, readout, segment)
+
+
+def _propagate(model: GnnModel, X: nc.Tensor, adj: GraphAdj):
+    for layer in model.conv_stack:
+        X = layer.forward(X, adj)
+    return X, model.scorer.forward(X, adj)
 
 
 def embed(model: GnnModel, tensors) -> nc.Tensor:
     """conv stack -> score -> top-k -> gated pool and readout; one row out."""
-    X = nc.constant(tensors.X)
-    directed = model.arch["directed_messages"]
-    adj = tensors.adjacency.get(directed)
-    if adj is None:
-        adj = tensors.adjacency[directed] = build_adjacency(X.rows, tensors.A, directed)
-    for layer in model.conv_stack:
-        X = layer.forward(X, adj)
-    alpha = model.scorer.forward(X, adj)
+    X, alpha = _propagate(model, nc.constant(tensors.X),
+                          _adjacency(tensors, model.arch["directed_messages"]))
     P = topk_filter(alpha, model.arch["pooling_ratio"], X.rows)
     return pool_graph(X, alpha, P, model.arch["readout"])
 
 
+def embed_batch(model: GnnModel, batch: GraphBatch) -> nc.Tensor:
+    """embed for every graph of a batch on one tape: one row per graph."""
+    X, alpha = _propagate(model, nc.constant(batch.X), batch.adj)
+    keep, segment = _segment_topk(alpha.data.reshape(-1), model.arch["pooling_ratio"],
+                                  batch.sizes)
+    return pool_graph(X, alpha, keep, model.arch["readout"], segment)
+
+
 def classify(model: GnnModel, h_g: nc.Tensor) -> nc.Tensor:
-    """Class probabilities [Trojan, Non_Trojan]."""
+    """Class probabilities [Trojan, Non_Trojan], one row per embedding row."""
     if model.mlp is None:
         raise WrongHeadError("model has no classifier head")
     return nc.softmax_rows(model.mlp.forward(h_g))
 
 
-def pair_similarity(model: GnnModel, h_g1: nc.Tensor, h_g2: nc.Tensor) -> nc.Tensor:
+def _siamese(model: GnnModel) -> None:
     if model.arch["head"] != "siamese":
         raise WrongHeadError("model has no Siamese head")
+
+
+def pair_similarity(model: GnnModel, h_g1: nc.Tensor, h_g2: nc.Tensor) -> nc.Tensor:
+    _siamese(model)
     return nc.cosine(h_g1, h_g2)
+
+
+def pair_similarities(model: GnnModel, H: nc.Tensor, first: np.ndarray,
+                      second: np.ndarray) -> nc.Tensor:
+    """P x 1: the similarity of embedding rows first[i] and second[i]."""
+    _siamese(model)
+    return nc.pair_cosine(H, first, second)

@@ -53,6 +53,19 @@ class GraphTensors:
     # graph2vec.embed's message arrays by directed_messages, built on first
     # use: A must not change after the first embed
     adjacency: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _content_key: str | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def content_key(self) -> str:
+        """sha256 of the encoded graph (X's shape and bytes, then A's),
+        computed on first use: designs that encode alike share it."""
+        if self._content_key is None:
+            X = np.ascontiguousarray(self.X, dtype="<f8")
+            h = hashlib.sha256(struct.pack("<QQ", *X.shape))
+            h.update(X.tobytes())
+            h.update(self.A.tobytes())
+            self._content_key = h.hexdigest()
+        return self._content_key
 
     def __post_init__(self) -> None:
         try:
@@ -185,12 +198,12 @@ def _framed(data: bytes) -> bytes:
 def cache_key(root: Path, design: SourceUnit, kind: str, top: str | None,
               vocab: NodeVocab) -> str:
     """Hash of every input that extraction and encoding read, so a hit
-    needs no extraction: the extractor version, the design name
-    ``root.name`` (a hit returns it as graph_id), kind, top, the vocabulary
-    fingerprint, and each file's path relative to ``root`` with its text,
-    in ``design.files`` order, every field length-prefixed."""
+    needs no extraction: the extractor version, the design name (the name
+    ``root`` resolves to; a hit returns it as graph_id), kind, top, the
+    vocabulary fingerprint, and each file's path relative to ``root`` with
+    its text, in ``design.files`` order, every field length-prefixed."""
     root = Path(root)
-    head = json.dumps([EXTRACTOR_VERSION, root.name, kind, top, vocab.fingerprint,
+    head = json.dumps([EXTRACTOR_VERSION, root.resolve().name, kind, top, vocab.fingerprint,
                        len(design.files)])
     h = hashlib.sha256(_framed(head.encode("ascii")))
     for path, text in design.files:

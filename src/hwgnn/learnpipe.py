@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 import struct
@@ -22,7 +23,16 @@ from .errors import (
     VersionMismatchError,
     VocabMismatchError,
 )
-from .graph2vec import GnnModel, build_model, classify, embed, pair_similarity
+from .graph2vec import (
+    GnnModel,
+    GraphBatch,
+    build_model,
+    classify,
+    embed,
+    embed_batch,
+    pair_similarities,
+    pair_similarity,
+)
 from .graphdata import GraphPair, GraphTensors
 from .nncore import contrastive_loss, cross_entropy
 
@@ -65,6 +75,13 @@ class Checkpoint:
     best_metric: float
     best_step: int = 0
     history: list = field(default_factory=list)
+    steps: int = 0  # optimizer steps taken
+    stop: str = "epochs"  # or "ceiling": a validation scored 1.0
+
+    def training(self) -> dict:
+        """The run's course, as report.json records it."""
+        return {"best_step": self.best_step, "steps": self.steps, "stop": self.stop,
+                "history": self.history}
 
 
 # --- decision rules ---
@@ -78,10 +95,14 @@ def _check_dims(model: GnnModel, tensors: GraphTensors) -> None:
         )
 
 
+def _ht_verdict(y: np.ndarray) -> str:
+    """Trojan when its probability y[0] beats Non_Trojan's y[1]."""
+    return TROJAN if y[0] > y[1] else NON_TROJAN
+
+
 def predict_ht(model: GnnModel, tensors: GraphTensors) -> str:
     _check_dims(model, tensors)
-    y = classify(model, embed(model, tensors)).data[0]
-    return TROJAN if y[0] > y[1] else NON_TROJAN
+    return _ht_verdict(classify(model, embed(model, tensors)).data[0])
 
 
 def pair_similarity_value(model: GnnModel, t1: GraphTensors, t2: GraphTensors) -> float:
@@ -129,7 +150,7 @@ def compute_metrics(tp: int, fp: int, fn: int, tn: int, per_item=None) -> EvalRe
     )
 
 
-def report_to_json(report: EvalReport) -> str:
+def report_to_json(report: EvalReport, training: dict | None = None) -> str:
     doc = {
         "counts": {"tp": report.tp, "fp": report.fp, "fn": report.fn, "tn": report.tn},
         "metrics": {
@@ -141,6 +162,8 @@ def report_to_json(report: EvalReport) -> str:
         },
         "per_item": report.per_item,
     }
+    if training is not None:
+        doc["training"] = training
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
@@ -168,22 +191,64 @@ def _tally(outcomes: list[tuple[bool, bool]], per_item: list) -> EvalReport:
     )
 
 
+def _distinct(graphs: list[GraphTensors]) -> tuple[list[GraphTensors], np.ndarray]:
+    """The graphs of distinct content, in order of first appearance, and
+    the row of each input graph among them."""
+    rows: dict[str, int] = {}
+    firsts = []
+    for t in graphs:
+        if rows.setdefault(t.content_key, len(rows)) == len(firsts):
+            firsts.append(t)
+    return firsts, np.array([rows[t.content_key] for t in graphs], dtype=np.intp)
+
+
+def _embed_rows(model: GnnModel, graphs: list[GraphTensors]) -> tuple[nc.Tensor, np.ndarray]:
+    """One batch forward pass over the distinct graphs among ``graphs``:
+    the embedding matrix, and each input graph's row in it."""
+    for t in graphs:
+        _check_dims(model, t)
+    firsts, rows = _distinct(graphs)
+    return embed_batch(model, GraphBatch.of(firsts, model.arch["directed_messages"])), rows
+
+
+def _forward_only(evaluate):
+    """``evaluate`` run without a tape: nothing calls backward() on it."""
+    @functools.wraps(evaluate)
+    def run(*args, **kwargs):
+        with nc.no_tape():
+            return evaluate(*args, **kwargs)
+    return run
+
+
+@_forward_only
 def evaluate_classifier(model: GnnModel, dataset: list[GraphTensors]) -> EvalReport:
     outcomes, per_item = [], []
-    for t in dataset:
-        verdict = predict_ht(model, t)
+    if dataset:
+        H, rows = _embed_rows(model, dataset)
+        probs = classify(model, H).data[rows]
+    for t, y in zip(dataset, probs if dataset else []):
+        verdict = _ht_verdict(y)
         outcomes.append((verdict == TROJAN, is_trojan(t.label)))
         per_item.append({"graph_id": t.graph_id, "label": t.label, "prediction": verdict})
     return _tally(outcomes, per_item)
 
 
+def _pair_rows(model: GnnModel, pairs: list[GraphPair], tensors_by_id: dict[str, GraphTensors]):
+    """The embedding matrix of the pairs' distinct graphs, and the row of
+    each pair's first and second member in it."""
+    H, rows = _embed_rows(model, [tensors_by_id[name] for pair in pairs
+                                  for name in (pair.first, pair.second)])
+    return H, rows[0::2], rows[1::2]
+
+
+@_forward_only
 def evaluate_pairs(model: GnnModel, pairs: list[GraphPair],
                    tensors_by_id: dict[str, GraphTensors], delta: float) -> EvalReport:
-    names = dict.fromkeys(name for pair in pairs for name in (pair.first, pair.second))
-    rows = {name: embed(model, tensors_by_id[name]) for name in names}
     outcomes, per_item = [], []
-    for pair in pairs:
-        sim = pair_similarity(model, rows[pair.first], rows[pair.second]).item()
+    sims = []
+    if pairs:
+        sims = pair_similarities(model, *_pair_rows(model, pairs, tensors_by_id)).data[:, 0]
+    for pair, sim in zip(pairs, map(float, sims)):
         verdict = piracy_verdict(sim, delta)
         outcomes.append((verdict == PIRACY, pair.label == 1))
         per_item.append({"first": pair.first, "second": pair.second, "label": pair.label,
@@ -203,11 +268,12 @@ def _shuffled_forever(items: list, rng):
 _CEILING = 1.0  # the best F1 or accuracy a validation can score
 
 
-def _fit(model: GnnModel, cfg: TrainConfig, n_train: int, next_batch, item_loss,
+def _fit(model: GnnModel, cfg: TrainConfig, n_train: int, next_batch, batch_loss,
          metric_name: str, metric) -> Checkpoint:
-    """The loop both trainers share.  Each step sums ``item_loss`` over
-    ``next_batch()`` and takes one optimizer step; ``metric()`` is scored
-    before training, every ``mini_test_interval`` steps and at the end, and
+    """The loop both trainers share.  Each step takes ``batch_loss`` of
+    ``next_batch()``, one tape over the step's items, and one optimizer
+    step; ``metric()`` is scored before training, every
+    ``mini_test_interval`` steps and at the end, and
     the parameters of the first best score are restored.  Training stops at
     the first score of 1.0: no later score can beat it, so the rest of the
     run could change neither the restored parameters nor ``best_metric``."""
@@ -230,10 +296,7 @@ def _fit(model: GnnModel, cfg: TrainConfig, n_train: int, next_batch, item_loss,
         steps = cfg.epochs * max(1, math.ceil(n_train / cfg.batch_size))
         while step < steps and best_metric < _CEILING:
             nc.zero_grads(params)
-            loss = None
-            for item in next_batch():
-                term = item_loss(item)
-                loss = term if loss is None else nc.add(loss, term)
+            loss = batch_loss(next_batch())
             if not np.isfinite(loss.data[0, 0]):
                 raise DivergenceError(step, last_finite)
             last_finite = float(loss.data[0, 0])
@@ -253,7 +316,8 @@ def _fit(model: GnnModel, cfg: TrainConfig, n_train: int, next_batch, item_loss,
         raise DivergenceError(step, last_finite) from exc
     for p, data in zip(params, best_snap):
         p.data[...] = data
-    return Checkpoint(model=model, best_metric=best_metric, best_step=best_step, history=history)
+    return Checkpoint(model=model, best_metric=best_metric, best_step=best_step, history=history,
+                      steps=step, stop="ceiling" if best_metric >= _CEILING else "epochs")
 
 
 def train_graph_classifier(
@@ -262,17 +326,25 @@ def train_graph_classifier(
     cfg: TrainConfig,
     vocab_fingerprint: str = "",
 ) -> Checkpoint:
-    """Minimize summed cross-entropy; keep the parameters that score the
-    best validation F1 across the initial, periodic, and final evaluations."""
+    """Minimize cross-entropy summed over each batch's items, every distinct
+    graph of a batch embedded once; keep the parameters that score the best
+    validation F1 across the initial, periodic, and final evaluations."""
     if not train or not val:
         raise ValueError("train and validation sets must both be nonempty")
     model = build_model(cfg.arch(train[0].X.shape[1], "classifier"), seed=cfg.seed,
                         vocab_fingerprint=vocab_fingerprint)
     stream = _shuffled_forever(train, np.random.default_rng(cfg.seed))
+
+    def batch_loss(batch: list[GraphTensors]) -> nc.Tensor:
+        H, rows = _embed_rows(model, batch)
+        Y = np.zeros((H.rows, 2))  # per distinct graph, its items per class
+        np.add.at(Y, rows, np.vstack([_onehot(t.label) for t in batch]))
+        return cross_entropy(classify(model, H), Y)
+
     return _fit(
         model, cfg, len(train),
         next_batch=lambda: list(islice(stream, min(cfg.batch_size, len(train)))),
-        item_loss=lambda t: cross_entropy(classify(model, embed(model, t)), _onehot(t.label)),
+        batch_loss=batch_loss,
         metric_name="f1",
         metric=lambda: evaluate_classifier(model, val).f1,
     )
@@ -285,8 +357,9 @@ def train_pair_model(
     cfg: TrainConfig,
     vocab_fingerprint: str = "",
 ) -> Checkpoint:
-    """Siamese training on Eq-style contrastive loss; batches draw a
-    balanced half from each pair polarity when both exist."""
+    """Siamese training on Eq-style contrastive loss summed over each
+    batch's pairs, every distinct graph of a batch embedded once; batches
+    draw a balanced half from each pair polarity when both exist."""
     if not train_pairs or not val_pairs:
         raise ValueError("train and validation pair sets must both be nonempty")
     in_dim = tensors_by_id[train_pairs[0].first].X.shape[1]
@@ -302,15 +375,14 @@ def train_pair_model(
     else:
         draws = [(_shuffled_forever(train_pairs, rng), min(cfg.batch_size, len(train_pairs)))]
 
-    def pair_loss(pair: GraphPair) -> nc.Tensor:
-        h1 = embed(model, tensors_by_id[pair.first])
-        h2 = embed(model, tensors_by_id[pair.second])
-        return contrastive_loss(pair_similarity(model, h1, h2), pair.label, cfg.margin)
+    def batch_loss(batch: list[GraphPair]) -> nc.Tensor:
+        sims = pair_similarities(model, *_pair_rows(model, batch, tensors_by_id))
+        return contrastive_loss(sims, [pair.label for pair in batch], cfg.margin)
 
     return _fit(
         model, cfg, len(train_pairs),
         next_batch=lambda: [pair for stream, k in draws for pair in islice(stream, k)],
-        item_loss=pair_loss,
+        batch_loss=batch_loss,
         metric_name="accuracy",
         metric=lambda: evaluate_pairs(model, val_pairs, tensors_by_id, cfg.delta).accuracy,
     )

@@ -2,13 +2,16 @@
 
 Everything is a 2-D matrix; vectors travel as 1xd or nx1.  Each model
 layer is one operation with its hand-written backward beside its forward:
-graph convolution, dense layer, gated top-k pooling with readout, and the
-two losses, plus the row softmax, the cosine and the sum that joins a
-batch's losses.  Each operation checks shapes, verifies its output is
-finite, and records a backward closure on the tape.  Neighbour means run
-over per-edge message index arrays, never a dense adjacency matrix.
+graph convolution, dense layer, gated top-k pooling with readout per graph
+of a batch, and the two losses, plus the row softmax, the cosine of one
+pair or of index arrays of pairs, and the sum of two tensors.  Each
+operation checks shapes, verifies its output is finite, and records a
+backward closure on the tape, unless inside ``no_tape()``.  Neighbour means
+run over per-edge message index arrays, never a dense adjacency matrix.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -82,11 +85,25 @@ def _tracked(*tensors: Tensor) -> bool:
     return any(t.requires_grad or t._parents for t in tensors)
 
 
+_taping = [True]
+
+
+@contextmanager
+def no_tape():
+    """Operations inside record nothing for backward(), so each one's
+    intermediates are freed as soon as the next has read its output."""
+    _taping.append(False)
+    try:
+        yield
+    finally:
+        _taping.pop()
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     if not np.isfinite(data).all():
         raise NonFiniteError("operation produced NaN or Inf")
     out = Tensor(data)
-    if _tracked(*parents):
+    if _taping[-1] and _tracked(*parents):
         out._parents = parents
         out._backward_fn = backward_fn
     return out
@@ -213,12 +230,10 @@ def graph_conv(X: Tensor, W_self: Tensor, W_neigh: Tensor, bias: Tensor, adj,
         if _tracked(bias):
             bias.ensure_grad()[...] += gpre.sum(axis=0, keepdims=True)
         if _tracked(X):
-            # the mean's transpose: message i sends g_mean[dst[i]] back to
-            # src[i], added one message at a time onto the gradient so far
+            # the mean's transpose: message i sends g_mean[dst[i]] back to src[i]
             g_mean = (gpre @ W_neigh.data.T) * inv_deg
-            rows = np.vstack((X.ensure_grad() + gpre @ W_self.data.T, g_mean[dst]))
-            idx = np.concatenate((np.arange(adj.n), src))
-            X.grad[...] = _scatter_rows(rows, idx, adj.n)
+            X.ensure_grad()[...] += gpre @ W_self.data.T
+            X.grad += _scatter_rows(g_mean[dst], src, adj.n)
 
     return _make(out_data, (X, W_self, W_neigh, bias), backward)
 
@@ -242,21 +257,34 @@ def dense(x: Tensor, W: Tensor, b: Tensor, activation: str = "identity") -> Tens
     return _make(out_data, (x, W, b), backward)
 
 
-def gate_pool(X: Tensor, alpha: Tensor, keep: np.ndarray, readout: str) -> Tensor:
-    """One row: the sum or mean over the rows ``keep`` (distinct indices)
-    of X, each scaled by tanh of its score in the n x 1 ``alpha``."""
+def gate_pool(X: Tensor, alpha: Tensor, keep: np.ndarray, readout: str,
+              segment: np.ndarray | None = None) -> Tensor:
+    """The sum or mean over the rows ``keep`` (distinct indices) of X, each
+    scaled by tanh of its score in the n x 1 ``alpha``: one row, or with
+    ``segment`` (nondecreasing, the output row of each kept row, every row
+    0..G-1 present) one row per segment."""
     if alpha.shape != (X.rows, 1):
         raise ShapeMismatchError(f"{alpha.shape} scores for {X.rows} rows")
     if keep.size and (keep.min() < 0 or keep.max() >= X.rows):
         raise ShapeMismatchError(f"pooled index out of range for {X.rows} rows")
     settings.ARCH["readout"].check(readout)
+    if segment is not None:
+        steps = np.diff(segment)
+        if (segment.shape != keep.shape or not segment.size or segment[0] != 0
+                or ((steps != 0) & (steps != 1)).any()):
+            raise ShapeMismatchError("segments must run 0, 1, ... over the kept rows")
     gate = np.tanh(alpha.data[keep])
     rows = X.data[keep] * gate
-    out_data = rows.sum(axis=0, keepdims=True) if readout == "sum" else rows.mean(
-        axis=0, keepdims=True)
+    if segment is None:
+        segment = np.zeros(keep.size, dtype=np.intp)
+        total = rows.sum(axis=0, keepdims=True)
+    else:
+        total = _scatter_rows(rows, segment, int(segment[-1]) + 1)
+    counts = np.bincount(segment)[:, None]
+    out_data = total if readout == "sum" else total / counts
 
     def backward(g: np.ndarray) -> None:
-        g_rows = np.broadcast_to(g if readout == "sum" else g / keep.size, rows.shape)
+        g_rows = (g if readout == "sum" else g / counts)[segment]
         if _tracked(X):
             X.ensure_grad()[keep] += g_rows * gate
         if _tracked(alpha):
@@ -267,8 +295,9 @@ def gate_pool(X: Tensor, alpha: Tensor, keep: np.ndarray, readout: str) -> Tenso
 
 
 def cross_entropy(y_hat: Tensor, Y: np.ndarray) -> Tensor:
-    """Summed negative log-likelihood of one-hot targets Y under the
-    class probabilities y_hat, one row per item."""
+    """Summed negative log-likelihood of the targets Y under the class
+    probabilities y_hat: Y holds one-hot rows, or per row the number of
+    items of each class that row stands for."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != y_hat.shape:
         raise ShapeMismatchError(f"targets {Y.shape} vs predictions {y_hat.shape}")
@@ -284,16 +313,51 @@ def cross_entropy(y_hat: Tensor, Y: np.ndarray) -> Tensor:
     return _make(out_data, (y_hat,), backward)
 
 
-def contrastive_loss(y_hat: Tensor, y: int, margin: float) -> Tensor:
-    """For a similarity y_hat: +1 pairs pay 1 - y_hat, -1 pairs pay only
-    the part of y_hat above the margin."""
-    if y not in (1, -1):
+def pair_cosine(H: Tensor, first: np.ndarray, second: np.ndarray) -> Tensor:
+    """P x 1: the cosine of rows first[i] and second[i] of H, clamped to
+    [-1, 1]; equal rows score exactly 1."""
+    if first.shape != second.shape or first.ndim != 1:
+        raise ShapeMismatchError(f"pair index arrays {first.shape} vs {second.shape}")
+    if first.size and (min(first.min(), second.min()) < 0
+                       or max(first.max(), second.max()) >= H.rows):
+        raise ShapeMismatchError(f"pair index out of range for {H.rows} rows")
+    norms = np.sqrt(np.einsum("ij,ij->i", H.data, H.data))[:, None]
+    if (norms <= _EPS_NORM).any():
+        raise ZeroVectorError("cosine of (near-)zero vector")
+    u, v = H.data[first], H.data[second]
+    nu, nv = norms[first], norms[second]
+    raw = np.einsum("ij,ij->i", u, v)[:, None] / (nu * nv)
+    # identical rows must score exactly 1; the ratio alone can lose a ulp
+    equal = (u == v).all(axis=1, keepdims=True)
+    out_data = np.where(equal, 1.0, np.clip(raw, -1.0, 1.0))
+
+    def backward(g: np.ndarray) -> None:
+        # gradient of the unclamped ratio; the clamp only trims rounding spill
+        if _tracked(H):
+            gu = g * (v / (nu * nv) - raw * u / (nu * nu))
+            gv = g * (u / (nu * nv) - raw * v / (nv * nv))
+            rows = np.vstack((H.ensure_grad(), gu, gv))
+            idx = np.concatenate((np.arange(H.rows), first, second))
+            H.grad[...] = _scatter_rows(rows, idx, H.rows)
+
+    return _make(out_data, (H,), backward)
+
+
+def contrastive_loss(y_hat: Tensor, y, margin: float) -> Tensor:
+    """Summed over the rows of the similarities y_hat (P x 1) with pair
+    labels y (one +1 or -1 per row, or a bare label for a 1 x 1 y_hat): +1
+    pairs pay 1 - y_hat, -1 pairs pay only the part of y_hat above the
+    margin."""
+    labels = np.asarray(y).reshape(-1)
+    if labels.dtype.kind not in "biuf" or not ((labels == 1) | (labels == -1)).all():
         raise BadLabelError(f"pair label must be +1 or -1, got {y!r}")
-    if y_hat.shape != (1, 1):
-        raise ShapeMismatchError(f"contrastive loss of shape {y_hat.shape}")
-    s = y_hat.data[0, 0]
-    slope = -1.0 if y == 1 else float(s - margin > 0.0)
-    out_data = np.array([[1.0 - s if y == 1 else max(s - margin, 0.0)]])
+    if y_hat.cols != 1 or y_hat.rows != labels.size:
+        raise ShapeMismatchError(f"contrastive loss of shape {y_hat.shape} for "
+                                 f"{labels.size} labels")
+    s = y_hat.data[:, 0]
+    positive = labels == 1
+    slope = np.where(positive, -1.0, (s - margin > 0.0).astype(np.float64))[:, None]
+    out_data = np.array([[np.where(positive, 1.0 - s, np.maximum(s - margin, 0.0)).sum()]])
 
     def backward(g: np.ndarray) -> None:
         if _tracked(y_hat):
@@ -327,11 +391,14 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
     loss.ensure_grad()[...] = 1.0
     # by the time a node is reached, every consumer has contributed to its
-    # gradient, so leaves get checked too
+    # gradient, so leaves get checked too; an inner node is then spent, and
+    # dropping its closure frees the forward arrays it held
     with np.errstate(all="ignore"):
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward_fn is not None:
                 node._backward_fn(node.ensure_grad())
+                node._backward_fn, node._parents = None, ()
             if node.grad is not None and not np.isfinite(node.grad).all():
                 raise NonFiniteError("gradient produced NaN or Inf")
 

@@ -333,8 +333,13 @@ class TestTrainHt:
         assert (ht_artifacts / "model.ckpt").is_file()
         assert (ht_artifacts / "vocab.txt").is_file()
         report = json.loads((ht_artifacts / "report.json").read_text())
-        assert set(report) == {"counts", "metrics", "per_item"}
+        assert set(report) == {"counts", "metrics", "per_item", "training"}
         assert sum(report["counts"].values()) == len(report["per_item"]) == 2
+        training = report["training"]
+        assert set(training) == {"best_step", "steps", "stop", "history"}
+        assert training["stop"] in ("ceiling", "epochs")
+        assert any(h["step"] == training["best_step"] for h in training["history"])
+        assert training["history"][-1]["step"] == training["steps"]
         for item in report["per_item"]:
             assert item["prediction"] in ("Trojan", "Non_Trojan")
 
@@ -755,3 +760,35 @@ class TestCache:
         assert cli._tensors(run, [d], labels={"d1": 1})[0][0].label == 1
         assert cli._tensors(run, [d], vocab, labels={"d1": 0})[0][0].label == 0
         assert cli._tensors(run, [d], vocab)[0][0].label is None
+
+
+class TestDesignNamesFromResolvedPaths:
+    """`.` and `x/..` name the directory they resolve to, as any other path."""
+
+    @pytest.fixture
+    def alu(self, ht_corpus_dir, tmp_path, monkeypatch):
+        design = next(p for p in sorted(ht_corpus_dir.iterdir()) if p.is_dir())
+        d = tmp_path / "alu"
+        shutil.copytree(design, d)
+        (d / "sub").mkdir()
+        monkeypatch.chdir(d)
+        return d
+
+    @pytest.mark.parametrize("given", [".", "sub/.."])
+    def test_graph(self, alu, given, capsys):
+        out = alu.parent / "out"
+        assert main(["graph", "--out", str(out), given]) == 0
+        assert [p.name for p in out.iterdir()] == ["alu.dfg.json"]
+        assert json.loads((out / "alu.dfg.json").read_text())["design"] == "alu"
+        assert table_row(capsys.readouterr().out, "alu")
+
+    @pytest.mark.parametrize("given", [".", "sub/.."])
+    def test_embed_and_infer_ht(self, alu, given, ht_artifacts, capsys):
+        cfg = write_config(alu.parent / "c.yml", checkpoint=str(ht_artifacts / "model.ckpt"),
+                           out=str(alu.parent / "out"))
+        assert main(["embed", "--config", cfg, given]) == 0
+        rows = (alu.parent / "out" / "embeddings.tsv").read_text().splitlines()
+        assert rows[1].split("\t")[0] == "alu"
+        capsys.readouterr()
+        assert main(["infer-ht", "--config", cfg, given]) == 0
+        assert capsys.readouterr().out.split("\t")[0] == "alu"
