@@ -1,6 +1,6 @@
 """Graph embedding model: conv stack, attention top-k pooling, readout,
-and the two task heads (2-class classifier, Siamese cosine), for one graph
-or for a batch of graphs on one tape."""
+and the two task heads (2-class classifier, Siamese cosine), for a batch
+of graphs on one tape; one graph is a batch of one."""
 from __future__ import annotations
 
 import math
@@ -171,10 +171,11 @@ def _adjacency(tensors, directed: bool) -> GraphAdj:
 
 # --- model stages ---
 
-def _segment_topk(values: np.ndarray, pr: float, sizes: np.ndarray):
+def topk_filter(values, pr: float, sizes: np.ndarray):
     """Per graph of node counts ``sizes``, the k_g = ceil(pr*n_g) highest
-    scores (k_g >= 1), ties broken by lower node id: the kept indices
-    ascending, and each one's graph."""
+    of the scores ``values`` (k_g >= 1), ties broken by lower node id: the
+    kept indices ascending, and each one's graph."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
     if (sizes < 1).any():
         raise EmptyPoolError("cannot pool an empty graph")
     if values.size != sizes.sum():
@@ -187,23 +188,10 @@ def _segment_topk(values: np.ndarray, pr: float, sizes: np.ndarray):
     return np.sort(order[rank < k[graph]]), np.repeat(np.arange(sizes.size), k)
 
 
-def topk_filter(alpha, pr: float, n: int) -> list[int]:
-    """Indices of the k = ceil(pr*n) highest scores (k >= 1), ties broken
-    by lower node id; returned sorted ascending."""
-    values = alpha.data if isinstance(alpha, nc.Tensor) else np.asarray(alpha, dtype=np.float64)
-    values = values.reshape(-1)
-    if values.size != n:
-        raise ShapeMismatchError(f"{values.size} scores for {n} nodes")
-    if n < 1:
-        raise EmptyPoolError("cannot pool an empty graph")
-    return _segment_topk(values, pr, np.array([n]))[0].tolist()
-
-
 def pool_graph(X_prop: nc.Tensor, alpha: nc.Tensor, P, readout: str,
-               segment: np.ndarray | None = None) -> nc.Tensor:
+               segment: np.ndarray) -> nc.Tensor:
     """Gate rows by tanh(score), keep rows P, and sum or average them: one
-    row, or one per graph of a batch with ``segment`` the graph of each
-    kept row."""
+    row per graph, with ``segment`` the graph of each kept row."""
     keep = np.asarray(P, dtype=np.intp)
     if keep.size == 0:
         raise EmptyPoolError("readout over zero rows")
@@ -217,18 +205,15 @@ def _propagate(model: GnnModel, X: nc.Tensor, adj: GraphAdj):
 
 
 def embed(model: GnnModel, tensors) -> nc.Tensor:
-    """conv stack -> score -> top-k -> gated pool and readout; one row out."""
-    X, alpha = _propagate(model, nc.constant(tensors.X),
-                          _adjacency(tensors, model.arch["directed_messages"]))
-    P = topk_filter(alpha, model.arch["pooling_ratio"], X.rows)
-    return pool_graph(X, alpha, P, model.arch["readout"])
+    """embed_batch of the one-graph batch: one row out."""
+    return embed_batch(model, GraphBatch.of([tensors], model.arch["directed_messages"]))
 
 
 def embed_batch(model: GnnModel, batch: GraphBatch) -> nc.Tensor:
-    """embed for every graph of a batch on one tape: one row per graph."""
+    """conv stack -> score -> top-k -> gated pool and readout, for every
+    graph of a batch on one tape: one row per graph."""
     X, alpha = _propagate(model, nc.constant(batch.X), batch.adj)
-    keep, segment = _segment_topk(alpha.data.reshape(-1), model.arch["pooling_ratio"],
-                                  batch.sizes)
+    keep, segment = topk_filter(alpha.data, model.arch["pooling_ratio"], batch.sizes)
     return pool_graph(X, alpha, keep, model.arch["readout"], segment)
 
 
@@ -239,18 +224,9 @@ def classify(model: GnnModel, h_g: nc.Tensor) -> nc.Tensor:
     return nc.softmax_rows(model.mlp.forward(h_g))
 
 
-def _siamese(model: GnnModel) -> None:
+def pair_similarity(model: GnnModel, H: nc.Tensor, first: np.ndarray,
+                    second: np.ndarray) -> nc.Tensor:
+    """P x 1: the similarity of embedding rows first[i] and second[i]."""
     if model.arch["head"] != "siamese":
         raise WrongHeadError("model has no Siamese head")
-
-
-def pair_similarity(model: GnnModel, h_g1: nc.Tensor, h_g2: nc.Tensor) -> nc.Tensor:
-    _siamese(model)
-    return nc.cosine(h_g1, h_g2)
-
-
-def pair_similarities(model: GnnModel, H: nc.Tensor, first: np.ndarray,
-                      second: np.ndarray) -> nc.Tensor:
-    """P x 1: the similarity of embedding rows first[i] and second[i]."""
-    _siamese(model)
     return nc.pair_cosine(H, first, second)

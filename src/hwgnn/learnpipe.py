@@ -30,7 +30,6 @@ from .graph2vec import (
     classify,
     embed,
     embed_batch,
-    pair_similarities,
     pair_similarity,
 )
 from .graphdata import GraphPair, GraphTensors
@@ -100,15 +99,26 @@ def _ht_verdict(y: np.ndarray) -> str:
     return TROJAN if y[0] > y[1] else NON_TROJAN
 
 
+def _forward_only(evaluate):
+    """``evaluate`` run without a tape: nothing calls backward() on it."""
+    @functools.wraps(evaluate)
+    def run(*args, **kwargs):
+        with nc.no_tape():
+            return evaluate(*args, **kwargs)
+    return run
+
+
+@_forward_only
 def predict_ht(model: GnnModel, tensors: GraphTensors) -> str:
     _check_dims(model, tensors)
     return _ht_verdict(classify(model, embed(model, tensors)).data[0])
 
 
+@_forward_only
 def pair_similarity_value(model: GnnModel, t1: GraphTensors, t2: GraphTensors) -> float:
-    _check_dims(model, t1)
-    _check_dims(model, t2)
-    return pair_similarity(model, embed(model, t1), embed(model, t2)).item()
+    """The similarity that evaluate_pairs reports for the pair (t1, t2)."""
+    H, rows = _embed_rows(model, [t1, t2])
+    return pair_similarity(model, H, rows[:1], rows[1:]).item()
 
 
 def piracy_verdict(similarity: float, delta: float) -> str:
@@ -211,15 +221,6 @@ def _embed_rows(model: GnnModel, graphs: list[GraphTensors]) -> tuple[nc.Tensor,
     return embed_batch(model, GraphBatch.of(firsts, model.arch["directed_messages"])), rows
 
 
-def _forward_only(evaluate):
-    """``evaluate`` run without a tape: nothing calls backward() on it."""
-    @functools.wraps(evaluate)
-    def run(*args, **kwargs):
-        with nc.no_tape():
-            return evaluate(*args, **kwargs)
-    return run
-
-
 @_forward_only
 def evaluate_classifier(model: GnnModel, dataset: list[GraphTensors]) -> EvalReport:
     outcomes, per_item = [], []
@@ -247,7 +248,7 @@ def evaluate_pairs(model: GnnModel, pairs: list[GraphPair],
     outcomes, per_item = [], []
     sims = []
     if pairs:
-        sims = pair_similarities(model, *_pair_rows(model, pairs, tensors_by_id)).data[:, 0]
+        sims = pair_similarity(model, *_pair_rows(model, pairs, tensors_by_id)).data[:, 0]
     for pair, sim in zip(pairs, map(float, sims)):
         verdict = piracy_verdict(sim, delta)
         outcomes.append((verdict == PIRACY, pair.label == 1))
@@ -376,7 +377,7 @@ def train_pair_model(
         draws = [(_shuffled_forever(train_pairs, rng), min(cfg.batch_size, len(train_pairs)))]
 
     def batch_loss(batch: list[GraphPair]) -> nc.Tensor:
-        sims = pair_similarities(model, *_pair_rows(model, batch, tensors_by_id))
+        sims = pair_similarity(model, *_pair_rows(model, batch, tensors_by_id))
         return contrastive_loss(sims, [pair.label for pair in batch], cfg.margin)
 
     return _fit(
@@ -475,6 +476,7 @@ def load_checkpoint(path: Path, vocab_fingerprint: str | None = None) -> Checkpo
 
 # --- embedding export ---
 
+@_forward_only
 def export_embeddings(model: GnnModel, dataset: list[GraphTensors], path: Path) -> None:
     """TSV: header line, then one row per graph (id, label, components)."""
     dim = model.arch["conv_dims"][-1]

@@ -3,11 +3,11 @@
 Everything is a 2-D matrix; vectors travel as 1xd or nx1.  Each model
 layer is one operation with its hand-written backward beside its forward:
 graph convolution, dense layer, gated top-k pooling with readout per graph
-of a batch, and the two losses, plus the row softmax, the cosine of one
-pair or of index arrays of pairs, and the sum of two tensors.  Each
-operation checks shapes, verifies its output is finite, and records a
-backward closure on the tape, unless inside ``no_tape()``.  Neighbour means
-run over per-edge message index arrays, never a dense adjacency matrix.
+of a batch, and the two losses, plus the row softmax and the cosine of
+index arrays of pairs of rows.  Each operation checks shapes, verifies its
+output is finite, and records a backward closure on the tape, unless
+inside ``no_tape()``.  Neighbour means run over per-edge message index
+arrays, never a dense adjacency matrix.
 """
 from __future__ import annotations
 
@@ -115,22 +115,6 @@ def constant(data) -> Tensor:
 
 # --- operations ---
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may be a single row broadcast over a's rows."""
-    if a.shape != b.shape and not (b.rows == 1 and b.cols == a.cols):
-        raise ShapeMismatchError(f"add {a.shape} + {b.shape}")
-    out_data = a.data + b.data
-
-    def backward(g: np.ndarray) -> None:
-        if _tracked(a):
-            a.ensure_grad()[...] += g
-        if _tracked(b):
-            gb = g if b.shape == a.shape else g.sum(axis=0, keepdims=True)
-            b.ensure_grad()[...] += gb
-
-    return _make(out_data, (a, b), backward)
-
-
 def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -142,33 +126,6 @@ def softmax_rows(a: Tensor) -> Tensor:
             a.ensure_grad()[...] += (g - dot) * out_data
 
     return _make(out_data, (a,), backward)
-
-
-def cosine(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine similarity of two single-row tensors, clamped to [-1, 1]."""
-    if u.rows != 1 or v.rows != 1 or u.cols != v.cols:
-        raise ShapeMismatchError(f"cosine {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu <= _EPS_NORM or nv <= _EPS_NORM:
-        raise ZeroVectorError("cosine of (near-)zero vector")
-    raw = float(u.data.reshape(-1) @ v.data.reshape(-1)) / (nu * nv)
-    # identical vectors must score exactly 1; the ratio alone can lose a ulp
-    if u is v or np.array_equal(u.data, v.data):
-        value = 1.0
-    else:
-        value = min(1.0, max(-1.0, raw))
-    out_data = np.array([[value]])
-
-    def backward(g: np.ndarray) -> None:
-        # gradient of the unclamped ratio; the clamp only trims rounding spill
-        gs = g[0, 0]
-        if _tracked(u):
-            u.ensure_grad()[...] += gs * (v.data / (nu * nv) - raw * u.data / (nu * nu))
-        if _tracked(v):
-            v.ensure_grad()[...] += gs * (u.data / (nu * nv) - raw * v.data / (nv * nv))
-
-    return _make(out_data, (u, v), backward)
 
 
 # --- layer operations: one tape node per layer, backward beside forward ---
@@ -258,28 +215,23 @@ def dense(x: Tensor, W: Tensor, b: Tensor, activation: str = "identity") -> Tens
 
 
 def gate_pool(X: Tensor, alpha: Tensor, keep: np.ndarray, readout: str,
-              segment: np.ndarray | None = None) -> Tensor:
+              segment: np.ndarray) -> Tensor:
     """The sum or mean over the rows ``keep`` (distinct indices) of X, each
-    scaled by tanh of its score in the n x 1 ``alpha``: one row, or with
-    ``segment`` (nondecreasing, the output row of each kept row, every row
-    0..G-1 present) one row per segment."""
+    scaled by tanh of its score in the n x 1 ``alpha``: one row per segment,
+    ``segment`` (nondecreasing, every row 0..G-1 present) naming the output
+    row of each kept row."""
     if alpha.shape != (X.rows, 1):
         raise ShapeMismatchError(f"{alpha.shape} scores for {X.rows} rows")
     if keep.size and (keep.min() < 0 or keep.max() >= X.rows):
         raise ShapeMismatchError(f"pooled index out of range for {X.rows} rows")
     settings.ARCH["readout"].check(readout)
-    if segment is not None:
-        steps = np.diff(segment)
-        if (segment.shape != keep.shape or not segment.size or segment[0] != 0
-                or ((steps != 0) & (steps != 1)).any()):
-            raise ShapeMismatchError("segments must run 0, 1, ... over the kept rows")
+    steps = np.diff(segment)
+    if (segment.shape != keep.shape or not segment.size or segment[0] != 0
+            or ((steps != 0) & (steps != 1)).any()):
+        raise ShapeMismatchError("segments must run 0, 1, ... over the kept rows")
     gate = np.tanh(alpha.data[keep])
     rows = X.data[keep] * gate
-    if segment is None:
-        segment = np.zeros(keep.size, dtype=np.intp)
-        total = rows.sum(axis=0, keepdims=True)
-    else:
-        total = _scatter_rows(rows, segment, int(segment[-1]) + 1)
+    total = _scatter_rows(rows, segment, int(segment[-1]) + 1)
     counts = np.bincount(segment)[:, None]
     out_data = total if readout == "sum" else total / counts
 

@@ -15,11 +15,13 @@ from hwgnn.graph2vec import (
     DEFAULT_ARCH,
     ConvLayer,
     GnnModel,
+    GraphBatch,
     Mlp,
     build_adjacency,
     build_model,
     classify,
     embed,
+    embed_batch,
     pair_similarity,
     pool_graph,
     topk_filter,
@@ -30,6 +32,29 @@ from hwgnn.synth import random_graph_tensors
 
 RNG = np.random.default_rng(33)
 ONE = 20.0  # np.tanh(20.0) == 1.0 exactly: a pooling gate that passes rows unchanged
+
+
+def kept(scores, pr, n):
+    """topk_filter of one graph of n nodes: its kept node ids."""
+    keep, segment = topk_filter(scores, pr, np.array([n]))
+    assert segment.tolist() == [0] * keep.size
+    return keep.tolist()
+
+
+def pool_one(X, alpha, P, readout):
+    """pool_graph of the rows P of one graph."""
+    return pool_graph(X, alpha, P, readout, np.zeros(len(P), dtype=np.intp))
+
+
+def similarity(model, u, v):
+    """pair_similarity of the single-row embeddings u and v."""
+    H = nc.constant(np.vstack((u.data, v.data)))
+    return pair_similarity(model, H, np.array([0]), np.array([1]))
+
+
+def pair_embedding(model, t1, t2):
+    """The embeddings of t1 and t2 as rows 0 and 1 of one tape."""
+    return embed_batch(model, GraphBatch.of([t1, t2], model.arch["directed_messages"]))
 
 
 def identity_layer(dim, rng_seed=0):
@@ -201,33 +226,34 @@ class TestScoreNodes:
 
 class TestTopK:
     def test_half_of_four(self):
-        assert topk_filter([0.9, 0.1, 0.5, 0.3], 0.5, 4) == [0, 2]
+        assert kept([0.9, 0.1, 0.5, 0.3], 0.5, 4) == [0, 2]
 
     def test_ratio_one_keeps_all(self):
-        assert topk_filter([0.3, 0.1, 0.2], 1.0, 3) == [0, 1, 2]
+        assert kept([0.3, 0.1, 0.2], 1.0, 3) == [0, 1, 2]
 
     def test_single_node_survives_any_ratio(self):
-        assert topk_filter([0.0], 0.01, 1) == [0]
+        assert kept([0.0], 0.01, 1) == [0]
 
     def test_k_is_ceiling(self):
-        assert len(topk_filter([5.0, 4.0, 3.0, 2.0, 1.0], 0.5, 5)) == 3
+        assert len(kept([5.0, 4.0, 3.0, 2.0, 1.0], 0.5, 5)) == 3
 
     def test_ties_break_toward_lower_id(self):
-        assert topk_filter([1.0, 1.0, 1.0, 1.0], 0.5, 4) == [0, 1]
+        assert kept([1.0, 1.0, 1.0, 1.0], 0.5, 4) == [0, 1]
 
     def test_result_sorted_ascending(self):
-        assert topk_filter([0.1, 0.9, 0.2, 0.8], 0.5, 4) == [1, 3]
+        assert kept([0.1, 0.9, 0.2, 0.8], 0.5, 4) == [1, 3]
 
     def test_accepts_tensor_scores(self):
-        assert topk_filter(nc.constant([[0.9], [0.1]]), 0.5, 2) == [0]
+        # the scorer's n x 1 column, as embed_batch passes it
+        assert kept(nc.constant([[0.9], [0.1]]).data, 0.5, 2) == [0]
 
     def test_score_count_checked(self):
         with pytest.raises(ShapeMismatchError):
-            topk_filter([1.0, 2.0], 0.5, 3)
+            kept([1.0, 2.0], 0.5, 3)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(EmptyPoolError):
-            topk_filter([], 0.5, 0)
+            kept([], 0.5, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -237,7 +263,7 @@ class TestTopK:
     )
     def test_pool_size_formula(self, n, pr, seed):
         scores = np.random.default_rng(seed).normal(size=n)
-        P = topk_filter(scores, pr, n)
+        P = kept(scores, pr, n)
         assert len(P) == max(1, math.ceil(pr * n))
         assert 1 <= len(P) <= n
         assert P == sorted(P)
@@ -253,20 +279,20 @@ class TestTopK:
         n = len(scores)
         k = max(1, math.ceil(pr * n))
         oracle = sorted(sorted(range(n), key=lambda i: (-scores[i], i))[:k])
-        assert topk_filter(scores, pr, n) == oracle
+        assert kept(scores, pr, n) == oracle
 
 
 class TestPoolGraph:
     def test_zero_scores_zero_features(self):
         X = nc.constant(RNG.normal(size=(3, 2)))
         alpha = nc.constant(np.zeros((3, 1)))
-        h = pool_graph(X, alpha, [0, 1, 2], "sum")
+        h = pool_one(X, alpha, [0, 1, 2], "sum")
         assert np.array_equal(h.data, np.zeros((1, 2)))
 
     def test_rows_scaled_by_tanh_alpha(self):
         X = nc.constant([[2.0, 4.0], [1.0, 1.0]])
         alpha = nc.constant([[0.5], [-1.0]])
-        h = pool_graph(X, alpha, [0, 1], "sum")
+        h = pool_one(X, alpha, [0, 1], "sum")
         expected = (np.array([[2.0, 4.0], [1.0, 1.0]]) * np.tanh([[0.5], [-1.0]])).sum(axis=0)
         assert np.allclose(h.data, expected.reshape(1, 2))
 
@@ -278,24 +304,24 @@ class TestReadout:
     GATES = [[ONE], [ONE]]
 
     def test_sum(self):
-        out = pool_graph(nc.constant(self.X), nc.constant(self.GATES), [0, 1], "sum")
+        out = pool_one(nc.constant(self.X), nc.constant(self.GATES), [0, 1], "sum")
         assert out.data.tolist() == [[4.0, 6.0]]
 
     def test_mean(self):
-        out = pool_graph(nc.constant(self.X), nc.constant(self.GATES), [0, 1], "mean")
+        out = pool_one(nc.constant(self.X), nc.constant(self.GATES), [0, 1], "mean")
         assert out.data.tolist() == [[2.0, 3.0]]
 
     def test_single_row_same_under_both(self):
         args = nc.constant(self.X), nc.constant(self.GATES), [1]
-        assert pool_graph(*args, "sum").data.tolist() == pool_graph(*args, "mean").data.tolist()
+        assert pool_one(*args, "sum").data.tolist() == pool_one(*args, "mean").data.tolist()
 
     def test_empty_pool_rejected(self):
         with pytest.raises(EmptyPoolError):
-            pool_graph(nc.constant(self.X), nc.constant(self.GATES), [], "sum")
+            pool_one(nc.constant(self.X), nc.constant(self.GATES), [], "sum")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            pool_graph(nc.constant(self.X), nc.constant(self.GATES), [0], "max")
+            pool_one(nc.constant(self.X), nc.constant(self.GATES), [0], "max")
 
 
 def tiny_model(**overrides):
@@ -411,21 +437,21 @@ class TestHeads:
         model = tiny_model()
         h = nc.constant([[1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(WrongHeadError):
-            pair_similarity(model, h, h)
+            similarity(model, h, h)
 
     def test_pair_similarity_extremes(self):
         model = tiny_model(head="siamese")
         h = nc.constant([[0.6, -0.8, 0.0, 0.0]])
-        assert pair_similarity(model, h, h).item() == 1.0
-        assert pair_similarity(model, h, nc.constant(-h.data)).item() == -1.0
+        assert pair_similarity(model, h, np.array([0]), np.array([0])).item() == 1.0
+        assert similarity(model, h, nc.constant(-h.data)).item() == -1.0
         ortho = nc.constant([[0.0, 0.0, 2.5, 0.0]])
-        assert pair_similarity(model, h, ortho).item() == 0.0
+        assert similarity(model, h, ortho).item() == 0.0
 
     def test_zero_embedding_rejected(self):
         model = tiny_model(head="siamese")
         zero = nc.constant([[0.0, 0.0, 0.0, 0.0]])
         with pytest.raises(ZeroVectorError):
-            pair_similarity(model, zero, zero)
+            similarity(model, zero, zero)
 
 
 class TestBuildModel:
@@ -503,7 +529,8 @@ class TestEndToEndGradient:
             assert np.diff(np.sort(scores)).min() > 1e-4
 
         def loss():
-            return pair_similarity(model, embed(model, t1), embed(model, t2))
+            return pair_similarity(model, pair_embedding(model, t1, t2), np.array([0]),
+                                   np.array([1]))
 
         fd_gradcheck(loss, model.params())
 
@@ -534,6 +561,6 @@ class TestTapeSize:
         model = build_model({"in_dim": 4, "head": "siamese"}, seed=0)
         rng = np.random.default_rng(6)
         t1, t2 = (random_graph_tensors(rng, n_nodes=n, n_labels=4) for n in (9, 12))
-        similarity = pair_similarity(model, embed(model, t1), embed(model, t2))
-        loss = contrastive_loss(similarity, -1, 0.5)
+        sim = pair_similarity(model, pair_embedding(model, t1, t2), np.array([0]), np.array([1]))
+        loss = contrastive_loss(sim, -1, 0.5)
         assert tape_ops(loss) <= 12

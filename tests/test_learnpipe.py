@@ -1,9 +1,11 @@
 """Losses, decision rules, metrics, trainers, checkpoints, and exports."""
 import inspect
+import itertools
 import json
 import math
 import struct
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,18 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_gradcheck
+from hwgnn import graphdata
 from hwgnn import learnpipe as lp
 from hwgnn import nncore as nc
 from hwgnn.errors import (
     BadLabelError,
     CorruptFileError,
     DivergenceError,
+    HwgnnError,
+    NonFiniteError,
     ShapeMismatchError,
     VersionMismatchError,
     VocabMismatchError,
 )
 from hwgnn.graph2vec import build_adjacency, build_model, embed, pool_graph
 from hwgnn.graphdata import GraphPair, GraphTensors
+from hwgnn.hwgraph import DFG, hw2graph, load_design_dir
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # --- toy graphs ---
 # Star and chain on the same node count with the same feature multiset
@@ -280,21 +288,21 @@ class TestContrastiveLoss:
             assert loss == pytest.approx(max(0.0, y_hat - margin), abs=1e-12)
 
     def test_gradient_both_polarities(self):
-        u = nc.Parameter(np.array([[0.8, 0.4, -0.3]]), "u")
-        v = nc.Parameter(np.array([[0.2, -0.6, 0.5]]), "v")
+        # rows u, v and w
+        H = nc.Parameter(np.array([[0.8, 0.4, -0.3], [0.2, -0.6, 0.5], [0.7, 0.5, -0.2]]), "H")
+        u, v, w = np.array([0]), np.array([1]), np.array([2])
 
         def positive():
-            return lp.contrastive_loss(nc.cosine(u, v), 1, 0.5)
+            return lp.contrastive_loss(nc.pair_cosine(H, u, v), 1, 0.5)
 
-        fd_gradcheck(positive, [u, v])
-        w = nc.Parameter(np.array([[0.7, 0.5, -0.2]]), "w")
+        fd_gradcheck(positive, [H])
 
         def negative():
             # similarity well above the margin keeps the hinge smooth
-            return lp.contrastive_loss(nc.cosine(u, w), -1, margin=0.1)
+            return lp.contrastive_loss(nc.pair_cosine(H, u, w), -1, margin=0.1)
 
-        assert nc.cosine(u, w).item() > 0.2
-        fd_gradcheck(negative, [u, w])
+        assert nc.pair_cosine(H, u, w).item() > 0.2
+        fd_gradcheck(negative, [H])
 
 
 class TestDecisionRules:
@@ -363,6 +371,60 @@ class TestDecisionRules:
         )
         assert all(v == "Piracy" for v in verdicts[:first_non])
         assert all(v == "Non_Piracy" for v in verdicts[first_non:])
+
+
+class TestForwardOnly:
+    """Inference records no backward closures, and its values are still
+    checked for finiteness."""
+
+    def test_inference_results_carry_no_tape(self, monkeypatch, tmp_path):
+        outputs = []
+
+        def spy(fn):
+            def run(*args):
+                outputs.append(fn(*args))
+                return outputs[-1]
+            return run
+
+        for name in ("embed", "classify", "pair_similarity"):
+            monkeypatch.setattr(lp, name, spy(getattr(lp, name)))
+        classifier = build_model({"in_dim": 2, "conv_dims": [4]}, seed=1)
+        siamese = build_model({"in_dim": 2, "conv_dims": [4], "head": "siamese"}, seed=1)
+        a, b = star_tensors(4, "a"), chain_tensors(4, "b")
+        lp.predict_ht(classifier, a)
+        lp.export_embeddings(classifier, [a, b], tmp_path / "emb.tsv")
+        lp.pair_similarity_value(siamese, a, b)
+        assert len(outputs) == 5  # embed and classify, two embeds, one similarity
+        assert all(out._parents == () and out._backward_fn is None for out in outputs)
+
+    def test_huge_finite_weights_raise_instead_of_a_verdict(self):
+        # finite parameters whose forward pass overflows: NaN probabilities
+        # would read as Non_Trojan, since NaN > NaN is false
+        model = forced_classifier([0.0, 0.0])
+        params = {p.name: p for p in model.params()}
+        params["mlp.b0"].data[...] = 1e308
+        params["mlp.W1"].data[...] = 1e308
+        with pytest.raises(NonFiniteError) as info:
+            lp.predict_ht(model, star_tensors(3, "g"))
+        assert isinstance(info.value, HwgnnError)
+
+
+def test_infer_ip_similarity_equals_the_report():
+    # every corpus/ip pair, scored alone as infer-ip does and in one
+    # evaluate_pairs call as report.json records it, with the fixed checkpoint
+    fixed = ROOT / "tools" / "byte_gate" / "ip"
+    vocab = graphdata.load_vocab(fixed / "vocab.txt")
+    model = lp.load_checkpoint(fixed / "model.ckpt", vocab.fingerprint).model
+    dirs = sorted(d for d in (ROOT / "corpus" / "ip").iterdir() if d.is_dir())
+    tensors = {d.name: graphdata.encode(graphdata.normalize(
+        hw2graph(load_design_dir(d), DFG, design_name=d.name)), vocab) for d in dirs}
+    pairs = [GraphPair(a, b, 1) for a, b in itertools.combinations(sorted(tensors), 2)]
+    report = lp.evaluate_pairs(model, pairs, tensors, delta=0.5)
+    off = [(pair.first, pair.second) for pair, item in zip(pairs, report.per_item)
+           if lp.pair_similarity_value(model, tensors[pair.first], tensors[pair.second])
+           != item["similarity"]]
+    assert len(pairs) == 780
+    assert off == []
 
 
 @pytest.mark.parametrize("fn, name", [
@@ -496,9 +558,7 @@ class TestEvaluate:
         want = lp.compute_metrics(c[True, True], c[True, False], c[False, True],
                                   c[False, False], per_item)
         got = lp.evaluate_pairs(model, pairs, tensors, delta=0.5)
-        # one batch forward pass sums in another order than one pass per design
-        for g, w in zip(got.per_item, want.per_item):
-            assert g.pop("similarity") == pytest.approx(w.pop("similarity"), abs=1e-12)
+        # a pair scored alone takes the same bits as in the whole set's batch
         assert got == want
 
     def test_pairs_delta_moves_the_boundary(self):

@@ -4,9 +4,11 @@ The trainers embed each distinct graph of a step once, as one batch, and
 take one batch loss.  That sums in another order than one tape per item, so
 the artifacts' bytes move; this gate states what must not.  At every step
 of a ``train-ht`` and a ``train-ip`` run, the step's loss and every
-parameter's gradient must match the per-item oracle kept here: each item
-embedded alone through ``graph2vec.embed``, one tape per item, the losses
-summed.  The oracle runs at the run's current parameters, re-synced every
+parameter's gradient must match the per-item oracle kept here: one tape and
+one backward pass per item, the gradients accumulated and the losses
+summed; a design is embedded alone through ``graph2vec.embed``, a pair's
+two designs as one two-graph batch (one graph if their contents are equal,
+as in the trainer, whose equal rows score exactly 1).  The oracle runs at the run's current parameters, re-synced every
 step, so the gate compares steps, never free-running trajectories (those
 drift apart by rounding: held-out similarities differ by about 1e-5 after
 260 steps).
@@ -24,7 +26,7 @@ import yaml
 from hwgnn import learnpipe
 from hwgnn import nncore as nc
 from hwgnn.cli import main
-from hwgnn.graph2vec import classify, embed, pair_similarity
+from hwgnn.graph2vec import GraphBatch, classify, embed, embed_batch, pair_similarity
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 RTOL = 1e-9
@@ -41,29 +43,30 @@ DRAWS = {
 }
 
 
-def oracle_loss(model, batch, tensors_by_id, margin):
-    """The per-item path: sum of each item's loss, its graphs embedded alone."""
-    loss = None
-    for item in batch:
-        if tensors_by_id is None:
-            term = nc.cross_entropy(classify(model, embed(model, item)),
-                                    learnpipe._onehot(item.label))
-        else:
-            h1 = embed(model, tensors_by_id[item.first])
-            h2 = embed(model, tensors_by_id[item.second])
-            term = nc.contrastive_loss(pair_similarity(model, h1, h2), item.label, margin)
-        loss = term if loss is None else nc.add(loss, term)
-    return loss
+def item_loss(model, item, tensors_by_id, margin):
+    """One item's loss on a tape of its own."""
+    if tensors_by_id is None:
+        return nc.cross_entropy(classify(model, embed(model, item)),
+                                learnpipe._onehot(item.label))
+    t1, t2 = tensors_by_id[item.first], tensors_by_id[item.second]
+    members = [t1] if t1.content_key == t2.content_key else [t1, t2]
+    H = embed_batch(model, GraphBatch.of(members, model.arch["directed_messages"]))
+    sim = pair_similarity(model, H, np.array([0]), np.array([len(members) - 1]))
+    return nc.contrastive_loss(sim, item.label, margin)
 
 
-def gradients(model, make_loss):
+def gradients(model, make_losses):
+    """The summed loss of ``make_losses()`` and each parameter's gradient,
+    accumulated over one backward pass per loss."""
     params = model.params()
     nc.zero_grads(params)
-    loss = make_loss()
-    nc.backward(loss)
+    total = 0.0
+    for loss in make_losses():
+        nc.backward(loss)
+        total += loss.item()
     grads = {p.name: p.grad.copy() for p in params}
     nc.zero_grads(params)
-    return loss.item(), grads
+    return total, grads
 
 
 def assert_same_step(got, want):
@@ -93,8 +96,9 @@ def lockstep_run(monkeypatch, tmp_path, command, config, seed, grad_scale=1.0):
         tensors_by_id = captured["tensors_by_id"]
 
         def checked(batch):
-            want = gradients(model, lambda: oracle_loss(model, batch, tensors_by_id, cfg.margin))
-            loss, grads = gradients(model, lambda: batch_loss(batch))
+            want = gradients(model, lambda: (item_loss(model, item, tensors_by_id, cfg.margin)
+                                             for item in batch))
+            loss, grads = gradients(model, lambda: [batch_loss(batch)])
             assert_same_step((loss, {k: g * grad_scale for k, g in grads.items()}), want)
             steps.append([getattr(item, "graph_id", None) or [item.first, item.second]
                           for item in batch])

@@ -15,15 +15,14 @@ from hwgnn.nncore import (
     Adam,
     Parameter,
     Tensor,
-    add,
     backward,
     constant,
     contrastive_loss,
-    cosine,
     cross_entropy,
     dense,
     gate_pool,
     graph_conv,
+    pair_cosine,
     sgd_step,
     softmax_rows,
     zero_grads,
@@ -37,11 +36,21 @@ def zeros_bias(cols):
     return constant(np.zeros((1, cols)))
 
 
+def pool_one(X, alpha, keep, readout):
+    """gate_pool of the rows ``keep`` into one row."""
+    return gate_pool(X, alpha, keep, readout, np.zeros(len(keep), dtype=np.intp))
+
+
+def cosine(u, v):
+    """pair_cosine of the single rows u and v."""
+    return pair_cosine(constant(np.vstack((u, v))), np.array([0]), np.array([1]))
+
+
 def weighted_sum(out, weights):
     """Random-weight scalar readout so gradients are not uniform: row i of
     ``out`` weighted by tanh(weights[i, 0]) and column j by weights[0, j]."""
     rows = np.arange(out.rows)
-    pooled = gate_pool(out, constant(weights[:, :1]), rows, "sum")
+    pooled = pool_one(out, constant(weights[:, :1]), rows, "sum")
     return dense(pooled, constant(weights[:1, :].T), zeros_bias(1))
 
 
@@ -64,11 +73,13 @@ class TestForward:
         # pooling multiplies each kept row elementwise by its tanh gate
         X = np.array([[1.0, 2.0], [3.0, 4.0]])
         alpha = np.array([[0.3], [-0.7]])
-        out = gate_pool(constant(X), constant(alpha), np.array([0, 1]), "sum")
+        out = pool_one(constant(X), constant(alpha), np.array([0, 1]), "sum")
         assert np.allclose(out.data, (X * np.tanh(alpha)).sum(axis=0, keepdims=True))
 
     def test_add_broadcasts_single_row(self):
-        out = add(constant([[1.0, 1.0], [2.0, 2.0]]), constant([[10.0, 20.0]]))
+        # the bias row is added to every row of x W
+        out = dense(constant([[1.0, 1.0], [2.0, 2.0]]), constant(np.eye(2)),
+                    constant([[10.0, 20.0]]))
         assert out.data.tolist() == [[11.0, 21.0], [12.0, 22.0]]
 
     def test_sub(self):
@@ -92,16 +103,16 @@ class TestForward:
     def test_row_reductions(self):
         x = constant([[1.0, 2.0], [3.0, 4.0]])
         gates = constant([[ONE], [ONE]])
-        assert gate_pool(x, gates, np.array([0, 1]), "sum").data.tolist() == [[4.0, 6.0]]
-        assert gate_pool(x, gates, np.array([0, 1]), "mean").data.tolist() == [[2.0, 3.0]]
+        assert pool_one(x, gates, np.array([0, 1]), "sum").data.tolist() == [[4.0, 6.0]]
+        assert pool_one(x, gates, np.array([0, 1]), "mean").data.tolist() == [[2.0, 3.0]]
 
     def test_row_scale(self):
-        out = gate_pool(constant([[1.0, 2.0], [3.0, 4.0]]), constant([[ONE], [-ONE]]),
+        out = pool_one(constant([[1.0, 2.0], [3.0, 4.0]]), constant([[ONE], [-ONE]]),
                         np.array([0, 1]), "sum")
         assert out.data.tolist() == [[-2.0, -2.0]]
 
     def test_gather_rows(self):
-        out = gate_pool(constant([[1.0], [2.0], [3.0]]), constant([[ONE]] * 3),
+        out = pool_one(constant([[1.0], [2.0], [3.0]]), constant([[ONE]] * 3),
                         np.array([0, 2]), "sum")
         assert out.data.tolist() == [[4.0]]
 
@@ -116,35 +127,38 @@ class TestForward:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_finite_outputs_enforced(self):
         with pytest.raises(NonFiniteError):
-            add(constant([[1e308]]), constant([[1e308]]))
+            dense(constant([[1e308]]), constant([[1.0]]), constant([[1e308]]))
 
 
 class TestCosine:
     def test_self_similarity_is_one(self):
         u = constant([[0.3, -2.0, 1.5]])
-        assert cosine(u, u).item() == 1.0
+        assert pair_cosine(u, np.array([0]), np.array([0])).item() == 1.0
 
     def test_orthogonal_is_zero(self):
-        assert cosine(constant([[1.0, 0.0]]), constant([[0.0, 1.0]])).item() == 0.0
+        assert cosine([[1.0, 0.0]], [[0.0, 1.0]]).item() == 0.0
 
     def test_opposite_is_minus_one(self):
-        assert cosine(constant([[1.0, 0.0]]), constant([[-1.0, 0.0]])).item() == -1.0
+        assert cosine([[1.0, 0.0]], [[-1.0, 0.0]]).item() == -1.0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
-            cosine(constant([[0.0, 0.0]]), constant([[1.0, 0.0]]))
+            cosine([[0.0, 0.0]], [[1.0, 0.0]])
 
     def test_requires_single_rows(self):
+        # each pair names one row of H per side
         two = constant([[1.0], [2.0]])
         with pytest.raises(ShapeMismatchError):
-            cosine(two, two)
+            pair_cosine(two, np.array([[0, 1]]), np.array([[1, 0]]))
+        with pytest.raises(ShapeMismatchError):
+            pair_cosine(two, np.array([0]), np.array([2]))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
     def test_always_in_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
-        u = constant(rng.normal(size=(1, 6)) * 10.0 + 1e-3)
-        v = constant(rng.normal(size=(1, 6)) * 10.0 + 1e-3)
+        u = rng.normal(size=(1, 6)) * 10.0 + 1e-3
+        v = rng.normal(size=(1, 6)) * 10.0 + 1e-3
         assert -1.0 <= cosine(u, v).item() <= 1.0
 
 
@@ -166,10 +180,10 @@ class TestChoicesComeFromSettings:
     def test_readout(self, name):
         args = constant([[1.0, 2.0], [3.0, 4.0]]), constant([[ONE], [ONE]]), np.array([0, 1])
         if name in READOUTS:
-            assert gate_pool(*args, name).shape == (1, 2)
+            assert pool_one(*args, name).shape == (1, 2)
         else:
             with pytest.raises(ValueError, match="readout"):
-                gate_pool(*args, name)
+                pool_one(*args, name)
 
 
 class TestShapeErrors:
@@ -178,8 +192,9 @@ class TestShapeErrors:
             dense(constant(np.ones((2, 3))), constant(np.ones((2, 3))), zeros_bias(3))
 
     def test_add(self):
+        # the bias must be one row as wide as x W
         with pytest.raises(ShapeMismatchError):
-            add(constant(np.ones((2, 3))), constant(np.ones((2, 2))))
+            dense(constant(np.ones((2, 3))), constant(np.ones((3, 2))), constant(np.ones((2, 2))))
 
     def test_hadamard(self):
         with pytest.raises(ShapeMismatchError):
@@ -187,11 +202,11 @@ class TestShapeErrors:
 
     def test_row_scale(self):
         with pytest.raises(ShapeMismatchError):
-            gate_pool(constant(np.ones((2, 3))), constant(np.ones((3, 1))), np.array([0]), "sum")
+            pool_one(constant(np.ones((2, 3))), constant(np.ones((3, 1))), np.array([0]), "sum")
 
     def test_gather_range(self):
         with pytest.raises(ShapeMismatchError):
-            gate_pool(constant(np.ones((2, 1))), constant(np.ones((2, 1))), np.array([2]), "sum")
+            pool_one(constant(np.ones((2, 1))), constant(np.ones((2, 1))), np.array([2]), "sum")
 
     def test_scatter_index_per_row(self):
         with pytest.raises(ShapeMismatchError):
@@ -227,7 +242,7 @@ class TestShapeErrors:
 class TestBackwardBasics:
     def test_sum_gradient_is_ones(self):
         w = Parameter(RNG.normal(size=(3, 2)), "w")
-        pooled = gate_pool(w, constant(np.full((3, 1), ONE)), np.arange(3), "sum")
+        pooled = pool_one(w, constant(np.full((3, 1), ONE)), np.arange(3), "sum")
         backward(dense(pooled, constant(np.ones((2, 1))), zeros_bias(1)))
         assert np.array_equal(w.grad, np.ones((3, 2)))
 
@@ -238,9 +253,10 @@ class TestBackwardBasics:
         assert np.allclose(w.grad, w.data)
 
     def test_gradients_accumulate_across_uses(self):
+        # w enters one dense op as input, weight and bias: d(w*w + w)/dw = 2w + 1
         w = Parameter([[2.0]], "w")
-        backward(add(w, w))
-        assert w.grad.tolist() == [[2.0]]
+        backward(dense(w, w, w))
+        assert w.grad.tolist() == [[5.0]]
 
     def test_constants_get_no_gradient(self):
         c = constant([[1.0]])
@@ -272,20 +288,20 @@ class TestGradientOracle:
         a = Parameter(RNG.normal(size=(3, 4)), "a")
         b = Parameter(RNG.normal(size=(1, 4)), "bias")
         w = RNG.normal(size=(3, 4))
-        fd_gradcheck(lambda: weighted_sum(add(a, b), w), [a, b])
+        fd_gradcheck(lambda: weighted_sum(dense(a, constant(np.eye(4)), b), w), [a, b])
 
     def test_hadamard(self):
         # the gate product, with the scores held fixed
         a = Parameter(RNG.normal(size=(4, 5)), "a")
         alpha = constant(RNG.normal(size=(4, 1)))
         w = RNG.normal(size=(1, 5))
-        fd_gradcheck(lambda: weighted_sum(gate_pool(a, alpha, np.arange(4), "sum"), w), [a])
+        fd_gradcheck(lambda: weighted_sum(pool_one(a, alpha, np.arange(4), "sum"), w), [a])
 
     def test_row_scale(self):
         a = Parameter(RNG.normal(size=(3, 4)), "a")
         s = Parameter(RNG.normal(size=(3, 1)), "s")
         w = RNG.normal(size=(1, 4))
-        fd_gradcheck(lambda: weighted_sum(gate_pool(a, s, np.arange(3), "sum"), w), [a, s])
+        fd_gradcheck(lambda: weighted_sum(pool_one(a, s, np.arange(3), "sum"), w), [a, s])
 
     def test_scale(self):
         # contrastive loss: slope -1 for +1 pairs, +1 above the margin for -1 pairs
@@ -331,15 +347,15 @@ class TestGradientOracle:
         a = Parameter(RNG.normal(size=(4, 3)), "a")
         s = Parameter(RNG.normal(size=(4, 1)), "s")
         w = RNG.normal(size=(1, 3))
-        fd_gradcheck(lambda: weighted_sum(gate_pool(a, s, np.arange(4), "sum"), w), [a, s])
-        fd_gradcheck(lambda: weighted_sum(gate_pool(a, s, np.arange(4), "mean"), w), [a, s])
+        fd_gradcheck(lambda: weighted_sum(pool_one(a, s, np.arange(4), "sum"), w), [a, s])
+        fd_gradcheck(lambda: weighted_sum(pool_one(a, s, np.arange(4), "mean"), w), [a, s])
 
     def test_gather(self):
         a = Parameter(RNG.normal(size=(5, 3)), "a")
         s = Parameter(RNG.normal(size=(5, 1)), "s")
         keep = np.array([0, 2, 3])
         w = RNG.normal(size=(1, 3))
-        fd_gradcheck(lambda: weighted_sum(gate_pool(a, s, keep, "mean"), w), [a, s])
+        fd_gradcheck(lambda: weighted_sum(pool_one(a, s, keep, "mean"), w), [a, s])
 
     def test_scatter_add(self):
         X = Parameter(RNG.normal(size=(5, 3)), "X")
@@ -354,9 +370,9 @@ class TestGradientOracle:
                          [X, Ws, Wn, b])
 
     def test_cosine(self):
-        u = Parameter(RNG.normal(size=(1, 5)) + 0.3, "u")
-        v = Parameter(RNG.normal(size=(1, 5)) - 0.2, "v")
-        fd_gradcheck(lambda: cosine(u, v), [u, v])
+        H = Parameter(np.vstack((RNG.normal(size=(1, 5)) + 0.3, RNG.normal(size=(1, 5)) - 0.2)),
+                      "H")
+        fd_gradcheck(lambda: pair_cosine(H, np.array([0]), np.array([1])), [H])
 
     def test_three_layer_composite(self):
         x = constant(RNG.normal(size=(4, 6)))
@@ -446,10 +462,10 @@ class TestTensorBasics:
         assert Parameter([[1.0]], "conv1_w").name == "conv1_w"
 
     def test_untracked_ops_record_no_tape(self):
-        out = add(constant([[1.0]]), constant([[2.0]]))
+        out = dense(constant([[1.0]]), constant([[2.0]]), zeros_bias(1))
         assert out._parents == ()
         assert out._backward_fn is None
 
     def test_tracked_ops_record_tape(self):
-        out = add(Parameter([[1.0]], "w"), constant([[2.0]]))
-        assert len(out._parents) == 2
+        out = dense(Parameter([[1.0]], "w"), constant([[2.0]]), zeros_bias(1))
+        assert len(out._parents) == 3
