@@ -1,5 +1,7 @@
 """Shared helpers: one-call graph builders, a finite-difference gradient
 check, and tiny corpus fixtures."""
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,3 +82,18 @@ def ip_corpus_dir(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("ip_corpus")
     synth.ip_corpus(root, n_variants=2, seed=11)
     return root
+
+
+def load_gen():
+    """perfbench/gen.py, loaded by path; it puts perfbench/ on sys.path to
+    import its walker, which is undone here."""
+    saved = list(sys.path)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module

@@ -6,8 +6,6 @@ two paths are independent.  The differential tests hold the one-pass
 ``dfg_graph`` to the fragment-and-merge construction in ``dfg_reference``
 byte for byte.
 """
-import importlib.util
-import sys
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dfg_of, labels_of, named
+from conftest import dfg_of, labels_of, load_gen, named
 from dfg_reference import dfg_for_signal, merge_dfgs, reference_dfg
 from hwgnn import synth
 from hwgnn.errors import (
@@ -478,20 +476,6 @@ def assert_corpus_matches_reference(designs_dir: Path) -> int:
         flat.top_module = top
         assert_matches_reference(parse_verilog(flat), top=top, name=d.name)
     return len(designs)
-
-
-def load_gen():
-    """perfbench/gen.py, loaded by path; it puts perfbench/ on sys.path to
-    import its walker, which is undone here."""
-    saved = list(sys.path)
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = saved
-    return module
 
 
 class TestMatchesReference:

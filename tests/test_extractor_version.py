@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_gen
 from hwgnn import graphdata
 from hwgnn.hwgraph import AST, DFG, graph_to_json, hw2graph, load_design_dir
 
@@ -31,9 +32,24 @@ PINNED = {
 }
 CURRENT = PINNED.get(graphdata.EXTRACTOR_VERSION, {})
 
+# version -> (corpus, kind) -> sha256 over graph_to_json of every design in
+# name order; "extract" is perfbench/gen.py's extract corpus at seed 1
+PINNED_CORPORA = {
+    1: {
+        ("ht", AST): "ff0614558f36e765e5e3f6e43f5ecff1d11c05f43205c7c0e9b7901292d82f55",
+        ("ht", DFG): "be83843223ecf22ed9795f6d31afed388126cfad5c79b45afd0dc98ddf6f5f89",
+        ("ip", AST): "dbba142fecb7e6aaa37533ac5e733f126714bf87bd8bd9b241c06564ecac11ef",
+        ("ip", DFG): "2e5e76d6637408ac199aefa12699748a8b50a3d485d8b9044f84d914d05e1394",
+        ("extract", AST): "aae7efdc723eb2c257b3328e7911548ad3935130a672e0b6ea0a6e15ea98d464",
+        ("extract", DFG): "08529198af55199fca9f2cd8a8d525f5a206a273eb23fc9bea4b3bee443be7d5",
+    },
+}
+CURRENT_CORPORA = PINNED_CORPORA.get(graphdata.EXTRACTOR_VERSION, {})
+
 
 def test_current_version_is_pinned():
     assert graphdata.EXTRACTOR_VERSION in PINNED
+    assert graphdata.EXTRACTOR_VERSION in PINNED_CORPORA
 
 
 @pytest.mark.parametrize("design, kind", sorted(CURRENT))
@@ -44,4 +60,23 @@ def test_extraction_output_matches_the_pinned_digest(design, kind):
     assert digest == CURRENT[(design, kind)], (
         "extraction output changed: raise graphdata.EXTRACTOR_VERSION and pin the "
         "new digests under it"
+    )
+
+
+@pytest.fixture(scope="module")
+def corpus_dirs(tmp_path_factory):
+    generated = tmp_path_factory.mktemp("extract")
+    load_gen().generate("extract", 1, generated)
+    return {"ht": CORPUS / "ht", "ip": CORPUS / "ip", "extract": generated / "designs"}
+
+
+@pytest.mark.parametrize("corpus, kind", sorted(CURRENT_CORPORA))
+def test_whole_corpus_extraction_matches_the_pinned_digest(corpus, kind, corpus_dirs):
+    digest = hashlib.sha256()
+    for path in sorted(p for p in corpus_dirs[corpus].iterdir() if p.is_dir()):
+        g = hw2graph(load_design_dir(path), kind, design_name=path.name)
+        digest.update(graph_to_json(g).encode("utf-8"))
+    assert digest.hexdigest() == CURRENT_CORPORA[(corpus, kind)], (
+        f"extraction output changed on {corpus}: raise graphdata.EXTRACTOR_VERSION and "
+        "pin the new digests under it"
     )

@@ -314,6 +314,63 @@ class TestInstances:
         assert [i.name for i in gates.children] == ["b0", "b1"]
 
 
+# Trees recorded before the parser's shared grammar helpers were merged:
+# every shape below is parsed by a helper that more than one construct uses.
+SHAPE_SNAPSHOTS = [
+    ("module m #(parameter A = 1, B = 2, parameter [1:0] C = 3) ();\nendmodule",
+     "ModuleDef:m(Paramlist(Parameter:A(IntConst:1), Parameter:B(IntConst:2), "
+     "Parameter:C(IntConst:3, Width(IntConst:1, IntConst:0))), Portlist)"),
+    ("module m #(parameter A = 1 parameter B = 2) ();\nendmodule",
+     "ModuleDef:m(Paramlist(Parameter:A(IntConst:1), Parameter:B(IntConst:2)), Portlist)"),
+    ("module m(output reg [3:0] q, r, input a);\nendmodule",
+     "ModuleDef:m(Portlist(Ioport(Output:q(Width(IntConst:3, IntConst:0)), "
+     "Reg:q(Width(IntConst:3, IntConst:0))), Ioport(Output:r(Width(IntConst:3, IntConst:0)), "
+     "Reg:r(Width(IntConst:3, IntConst:0))), Ioport(Input:a)))"),
+    ("module m(inout wire x, y);\n  assign {a, b[0]} = c, d = e;\nendmodule",
+     "ModuleDef:m(Portlist(Ioport(Inout:x), Ioport(Inout:y)), "
+     "Assign(Lvalue(Concat(Identifier:a, Pointer(Identifier:b, IntConst:0))), "
+     "Rvalue(Identifier:c)), Assign(Lvalue(Identifier:d), Rvalue(Identifier:e)))"),
+    ("module m(a, b);\n  input [3:0] a, b;\nendmodule",
+     "ModuleDef:m(Portlist(Port:a, Port:b), Decl(Input:a(Width(IntConst:3, IntConst:0)), "
+     "Input:b(Width(IntConst:3, IntConst:0))))"),
+    ("module m(q);\n  output reg [1:0] q, r;\n  localparam [1:0] P = 1, Q = 2;\nendmodule",
+     "ModuleDef:m(Portlist(Port:q), Decl(Output:q(Width(IntConst:1, IntConst:0)), "
+     "Reg:q(Width(IntConst:1, IntConst:0)), Output:r(Width(IntConst:1, IntConst:0)), "
+     "Reg:r(Width(IntConst:1, IntConst:0))), Decl(Parameter:P(IntConst:1, "
+     "Width(IntConst:1, IntConst:0)), Parameter:Q(IntConst:2, Width(IntConst:1, IntConst:0))))"),
+    ("module m;\n  wire [1:0] a = x, b;\nendmodule",
+     "ModuleDef:m(Portlist, Decl(Wire:a(Width(IntConst:1, IntConst:0)), "
+     "Wire:b(Width(IntConst:1, IntConst:0))), Assign(Lvalue(Identifier:a), Rvalue(Identifier:x)))"),
+    ("module m;\n  supply1 v, w;\nendmodule",
+     "ModuleDef:m(Portlist, Decl(Wire:v, Wire:w), Assign(Lvalue(Identifier:v), "
+     "Rvalue(IntConst:1'b1)), Assign(Lvalue(Identifier:w), Rvalue(IntConst:1'b1)))"),
+    ("module m;\n  and (y, a, b), g1(z, a);\n  or g2(w, a), (v, b);\nendmodule",
+     "ModuleDef:m(Portlist, InstanceList:and(Instance:_gate0(PortArg(Identifier:y), "
+     "PortArg(Identifier:a), PortArg(Identifier:b)), Instance:g1(PortArg(Identifier:z), "
+     "PortArg(Identifier:a))), InstanceList:or(Instance:g2(PortArg(Identifier:w), "
+     "PortArg(Identifier:a)), Instance:_gate1(PortArg(Identifier:v), PortArg(Identifier:b))))"),
+    ("module m;\n  sub u(a, , b);\nendmodule",
+     "ModuleDef:m(Portlist, InstanceList:sub(Instance:u(PortArg(Identifier:a), PortArg, "
+     "PortArg(Identifier:b))))"),
+    ("module m;\n  sub u(.p(), .q(x));\nendmodule",
+     "ModuleDef:m(Portlist, InstanceList:sub(Instance:u(PortArg:p, PortArg:q(Identifier:x))))"),
+    ("module m;\n  assign y = {2{a, b}};\nendmodule",
+     "ModuleDef:m(Portlist, Assign(Lvalue(Identifier:y), Rvalue(Repeat(IntConst:2, "
+     "Concat(Identifier:a, Identifier:b)))))"),
+    ("module m;\n  always @(*) case (s) 0, 1: y = a; 2: y = b; default y = c; endcase\nendmodule",
+     "ModuleDef:m(Portlist, Always(SensList(Sens:all), CaseStatement(Identifier:s, "
+     "Case(IntConst:0, IntConst:1, BlockingSubstitution(Lvalue(Identifier:y), "
+     "Rvalue(Identifier:a))), Case(IntConst:2, BlockingSubstitution(Lvalue(Identifier:y), "
+     "Rvalue(Identifier:b))), Case(BlockingSubstitution(Lvalue(Identifier:y), "
+     "Rvalue(Identifier:c))))))"),
+]
+
+
+@pytest.mark.parametrize("text, tree", SHAPE_SNAPSHOTS)
+def test_shared_shape_snapshot(text, tree):
+    assert repr(parse(text)) == tree
+
+
 class TestErrors:
     @pytest.mark.parametrize("src,construct", [
         ("module m();\n  generate\n  endgenerate\nendmodule", "generate"),
