@@ -21,7 +21,7 @@ def main() -> None:
     ast = hw2graph(design, AST, design_name=design_dir.name)
     print(f"\nAST: {ast.num_nodes} nodes, {ast.num_edges} edges "
           f"(tree, so edges = nodes - 1)")
-    root = ast.nodes[ast.roots()[0]]
+    root = ast.nodes[0]  # node ids are DFS preorder, so the root comes first
     print(f"AST root: {root.label} {root.name!r}")
 
     dfg = hw2graph(design, DFG, design_name=design_dir.name)

@@ -94,8 +94,6 @@ class GraphPair:
 class DatasetSplit:
     train: list
     test: list
-    seed: int
-    ratio: float
 
 
 def normalize(g: HWGraph) -> HWGraph:
@@ -143,7 +141,7 @@ def split(ids: list, ratio: float, seed: int) -> DatasetSplit:
         )
     perm = np.random.default_rng(seed).permutation(len(ids))
     shuffled = [ids[i] for i in perm]
-    return DatasetSplit(train=shuffled[n_test:], test=shuffled[:n_test], seed=seed, ratio=ratio)
+    return DatasetSplit(train=shuffled[n_test:], test=shuffled[:n_test])
 
 
 def leave_one_circuit_out(ids: list, circuit_of: dict, held_out) -> DatasetSplit:
@@ -151,7 +149,7 @@ def leave_one_circuit_out(ids: list, circuit_of: dict, held_out) -> DatasetSplit
         raise UnknownCircuitError(f"no item belongs to circuit {held_out!r}")
     test = [i for i in ids if circuit_of.get(i) == held_out]
     train = [i for i in ids if circuit_of.get(i) != held_out]
-    return DatasetSplit(train=train, test=test, seed=0, ratio=len(test) / len(ids))
+    return DatasetSplit(train=train, test=test)
 
 
 def make_pairs(ids: list, category_of: dict) -> list[GraphPair]:

@@ -66,9 +66,8 @@ class _Scope:
 
 
 class _Elaborator:
-    def __init__(self, modules: dict[str, TreeNode], max_depth: int = MAX_DEPTH):
+    def __init__(self, modules: dict[str, TreeNode]):
         self.modules = modules
-        self.max_depth = max_depth
         self.out = Elaborated()
         self.contribs: dict[str, list[TreeNode]] = {}
 
@@ -232,9 +231,9 @@ class _Elaborator:
         return ports
 
     def elab_module(self, modname: str, prefix: str, depth: int, is_top: bool) -> None:
-        if depth > self.max_depth:
+        if depth > MAX_DEPTH:
             raise ElaborationDepthError(
-                f"instantiation nesting exceeds {self.max_depth} at {prefix or modname}"
+                f"instantiation nesting exceeds {MAX_DEPTH} at {prefix or modname}"
             )
         mod = self.modules.get(modname)
         if mod is None:
@@ -358,7 +357,7 @@ def collect_modules(tree: TreeNode) -> dict[str, TreeNode]:
     return {m.name: m for m in tree.children if m.label == "ModuleDef" and m.name}
 
 
-def elaborate(tree: TreeNode, top: str | None = None, max_depth: int = MAX_DEPTH) -> Elaborated:
+def elaborate(tree: TreeNode, top: str | None = None) -> Elaborated:
     """Inline the instance hierarchy under ``top`` and lower procedural
     blocks, leaving one driving expression per signal."""
     modules = collect_modules(tree)
@@ -368,7 +367,7 @@ def elaborate(tree: TreeNode, top: str | None = None, max_depth: int = MAX_DEPTH
         top = next(iter(modules))
     if top not in modules:
         raise UnknownModuleError(f"module {top!r} is not defined in this design")
-    elab = _Elaborator(modules, max_depth)
+    elab = _Elaborator(modules)
     elab.elab_module(top, "", 0, is_top=True)
     return elab.finish()
 

@@ -48,11 +48,6 @@ class HWGraph:
             deg[dst] += 1
         return deg
 
-    def roots(self) -> list[int]:
-        """Nodes with in-degree zero, in id order."""
-        deg = self.in_degrees()
-        return [n.id for n in self.nodes if deg[n.id] == 0]
-
     def validate(self) -> None:
         """Check the structural invariants; raises ValueError on violation."""
         n = len(self.nodes)

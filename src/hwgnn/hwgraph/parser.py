@@ -114,6 +114,27 @@ class TreeNode:
         return f"{head}({', '.join(repr(c) for c in self.children)})"
 
 
+_DIRECTIONS = ("input", "output", "inout")
+
+
+def _io_nodes(head: tuple[str, bool, TreeNode | None], names: list[str]) -> list[TreeNode]:
+    """Per declared port name, its direction node and, when the head says
+    ``reg``, its ``Reg`` node.  The nodes of one declaration share its ``Width``."""
+    direction, is_reg, width = head
+    nodes: list[TreeNode] = []
+    for name in names:
+        nodes.append(TreeNode(direction.capitalize(), name, [width] if width else []))
+        if is_reg:
+            nodes.append(TreeNode("Reg", name, [width] if width else []))
+    return nodes
+
+
+def _assignment(label: str, lhs: TreeNode, rhs: TreeNode) -> TreeNode:
+    return TreeNode(
+        label, None, [TreeNode("Lvalue", None, [lhs]), TreeNode("Rvalue", None, [rhs])]
+    )
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -122,8 +143,9 @@ class _Parser:
 
     # --- token stream helpers ---
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # advance() never steps past the closing EOF token
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -167,6 +189,16 @@ class _Parser:
         if tok.type == "SYSID":
             raise self.unsupported(f"system task/function ({tok.value})")
 
+    def listed(self, item, *args) -> list:
+        """``item {, item}``: one item, then one more after each comma."""
+        items = [item(*args)]
+        while self.accept("OP", ","):
+            items.append(item(*args))
+        return items
+
+    def parse_name(self) -> str:
+        return self.expect("ID").value
+
     # --- top level ---
 
     def parse_source(self) -> TreeNode:
@@ -189,127 +221,105 @@ class _Parser:
     def parse_module(self) -> TreeNode:
         self.expect("KW", "module")
         name = self.expect("ID").value
-        children: list[TreeNode] = []
-        if self.accept("OP", "#"):
-            children.append(self.parse_param_header())
+        children = [self.parse_param_header()] if self.accept("OP", "#") else []
         children.append(self.parse_portlist())
         self.expect("OP", ";")
-        children.extend(self.parse_module_items())
+        while not self.at("KW", "endmodule"):
+            if self.at("EOF"):
+                raise self.fail("missing endmodule")
+            children.extend(self.parse_module_item())
         self.expect("KW", "endmodule")
         return TreeNode("ModuleDef", name, children)
 
     def parse_param_header(self) -> TreeNode:
         self.expect("OP", "(")
-        params: list[TreeNode] = []
-        while True:
-            self.expect("KW", "parameter")
-            width = self.parse_width() if self.at("OP", "[") else None
-            while True:
-                pname = self.expect("ID").value
-                self.expect("OP", "=")
-                value = self.parse_expression()
-                kids = [value] + ([width] if width else [])
-                params.append(TreeNode("Parameter", pname, kids))
-                if not self.accept("OP", ","):
-                    break
-                if self.at("KW", "parameter"):
-                    # comma separated a new parameter keyword group
-                    break
-            if not self.at("KW", "parameter"):
-                break
+        self.expect("KW", "parameter")
+        params = self.parse_parameters(grouped=True)
+        # a comma before the next ``parameter`` keyword is optional
+        while self.accept("KW", "parameter"):
+            params += self.parse_parameters(grouped=True)
         self.expect("OP", ")")
         return TreeNode("Paramlist", None, params)
+
+    def parse_parameters(self, grouped: bool) -> list[TreeNode]:
+        """``[range] name = value {, name = value}``.  In a ``#(...)`` header
+        (grouped) a comma followed by ``parameter`` ends the group."""
+        width = self.parse_width_opt()
+        params: list[TreeNode] = []
+        while True:
+            name = self.expect("ID").value
+            self.expect("OP", "=")
+            kids = [self.parse_expression()] + ([width] if width else [])
+            params.append(TreeNode("Parameter", name, kids))
+            if not self.accept("OP", ",") or grouped and self.at("KW", "parameter"):
+                return params
+
+    def parse_port_head(self) -> tuple[str, bool, TreeNode | None]:
+        """``direction [wire|reg] [range]``."""
+        direction = self.advance().value
+        is_reg = not self.accept("KW", "wire") and self.accept("KW", "reg") is not None
+        return direction, is_reg, self.parse_width_opt()
 
     def parse_portlist(self) -> TreeNode:
         ports: list[TreeNode] = []
         if self.accept("OP", "("):
             if not self.at("OP", ")"):
-                last_direction: str | None = None
-                last_is_reg = False
-                last_width: TreeNode | None = None
+                head = None  # an ANSI head carries over to the bare names after it
                 while True:
-                    if self.peek().type == "KW" and self.peek().value in (
-                        "input",
-                        "output",
-                        "inout",
-                    ):
-                        direction = self.advance().value
-                        is_reg = False
-                        if self.accept("KW", "wire"):
-                            pass
-                        elif self.accept("KW", "reg"):
-                            is_reg = True
-                        width = self.parse_width() if self.at("OP", "[") else None
-                        pname = self.expect("ID").value
-                        ports.append(self._ansi_port(direction, is_reg, width, pname))
-                        last_direction, last_is_reg, last_width = direction, is_reg, width
-                    elif self.at("ID") and last_direction is not None:
-                        pname = self.advance().value
-                        ports.append(
-                            self._ansi_port(last_direction, last_is_reg, last_width, pname)
-                        )
-                    elif self.at("ID"):
-                        ports.append(TreeNode("Port", self.advance().value))
-                    else:
+                    if self.peek().value in _DIRECTIONS:
+                        head = self.parse_port_head()
+                    elif not self.at("ID"):
                         self.check_unsupported()
                         raise self.fail("malformed port list")
+                    name = self.expect("ID").value
+                    if head:
+                        ports.append(TreeNode("Ioport", None, _io_nodes(head, [name])))
+                    else:
+                        ports.append(TreeNode("Port", name))
                     if not self.accept("OP", ","):
                         break
             self.expect("OP", ")")
         return TreeNode("Portlist", None, ports)
 
-    def _ansi_port(
-        self, direction: str, is_reg: bool, width: TreeNode | None, pname: str
-    ) -> TreeNode:
-        dir_label = {"input": "Input", "output": "Output", "inout": "Inout"}[direction]
-        kids = [TreeNode(dir_label, pname, [self._copy(width)] if width else [])]
-        if is_reg:
-            kids.append(TreeNode("Reg", pname, [self._copy(width)] if width else []))
-        return TreeNode("Ioport", None, kids)
-
-    @staticmethod
-    def _copy(node: TreeNode | None) -> TreeNode:
-        assert node is not None
-        return TreeNode(node.label, node.name, [_Parser._copy(c) for c in node.children])
-
     # --- module items ---
-
-    def parse_module_items(self) -> list[TreeNode]:
-        items: list[TreeNode] = []
-        while not self.at("KW", "endmodule"):
-            if self.at("EOF"):
-                raise self.fail("missing endmodule")
-            items.extend(self.parse_module_item())
-        return items
 
     def parse_module_item(self) -> list[TreeNode]:
         self.check_unsupported()
         tok = self.peek()
         if tok.type == "KW":
             kw = tok.value
-            if kw in ("input", "output", "inout"):
-                return self.parse_port_decl()
-            if kw in ("wire", "reg", "supply0", "supply1"):
-                return self.parse_net_decl()
-            if kw in ("parameter", "localparam"):
-                return self.parse_param_decl()
-            if kw == "assign":
-                return self.parse_assign()
             if kw == "always":
                 return [self.parse_always()]
             if kw == "initial":
                 self.advance()
                 return [TreeNode("Initial", None, [self.parse_statement()])]
-            if kw in GATE_PRIMITIVES:
-                return [self.parse_gate_instances()]
-            raise self.fail(f"unexpected keyword {kw!r} at module level")
-        if tok.type == "ID":
-            return [self.parse_module_instances()]
-        if self.accept("OP", ";"):
+            if kw in _DIRECTIONS:
+                head = self.parse_port_head()
+                items = [TreeNode("Decl", None, _io_nodes(head, self.listed(self.parse_name)))]
+            elif kw in ("wire", "reg", "supply0", "supply1"):
+                items = self.parse_net_decl()
+            elif kw in ("parameter", "localparam"):
+                self.advance()
+                items = [TreeNode("Decl", None, self.parse_parameters(grouped=False))]
+            elif kw == "assign":
+                self.advance()
+                if self.at("OP", "#"):
+                    raise self.unsupported("delay control")
+                items = self.listed(self.parse_assign)
+            elif kw in GATE_PRIMITIVES:
+                items = [self.parse_instances(gate=True)]
+            else:
+                raise self.fail(f"unexpected keyword {kw!r} at module level")
+        elif tok.type == "ID":
+            items = [self.parse_instances(gate=False)]
+        elif self.accept("OP", ";"):
             return []
-        if tok.value == "#":
+        elif tok.value == "#":
             raise self.unsupported("delay control")
-        raise self.fail(f"unexpected token {tok.value!r} at module level")
+        else:
+            raise self.fail(f"unexpected token {tok.value!r} at module level")
+        self.expect("OP", ";")
+        return items
 
     def parse_width(self) -> TreeNode:
         self.expect("OP", "[")
@@ -319,105 +329,38 @@ class _Parser:
         self.expect("OP", "]")
         return TreeNode("Width", None, [msb, lsb])
 
-    def parse_port_decl(self) -> list[TreeNode]:
-        direction = self.advance().value
-        dir_label = {"input": "Input", "output": "Output", "inout": "Inout"}[direction]
-        is_reg = False
-        if self.accept("KW", "wire"):
-            pass
-        elif self.accept("KW", "reg"):
-            is_reg = True
-        width = self.parse_width() if self.at("OP", "[") else None
-        decls: list[TreeNode] = []
-        while True:
-            pname = self.expect("ID").value
-            decls.append(TreeNode(dir_label, pname, [self._copy(width)] if width else []))
-            if is_reg:
-                decls.append(TreeNode("Reg", pname, [self._copy(width)] if width else []))
-            if not self.accept("OP", ","):
-                break
-        self.expect("OP", ";")
-        return [TreeNode("Decl", None, decls)]
+    def parse_width_opt(self) -> TreeNode | None:
+        return self.parse_width() if self.at("OP", "[") else None
 
     def parse_net_decl(self) -> list[TreeNode]:
+        """A net or reg declaration, then an ``Assign`` per initialised net
+        and, for a supply net, one tying each net to its constant level."""
         kw = self.advance().value
         label = "Reg" if kw == "reg" else "Wire"
-        width = self.parse_width() if self.at("OP", "[") else None
-        decls: list[TreeNode] = []
-        extra: list[TreeNode] = []
-        while True:
-            nname = self.expect("ID").value
-            if self.at("OP", "["):
-                raise self.unsupported("memory declaration")
-            decls.append(TreeNode(label, nname, [self._copy(width)] if width else []))
-            if self.accept("OP", "="):
-                if label == "Reg":
-                    raise self.unsupported("register initializer")
-                rhs = self.parse_expression()
-                extra.append(
-                    TreeNode(
-                        "Assign",
-                        None,
-                        [
-                            TreeNode("Lvalue", None, [TreeNode("Identifier", nname)]),
-                            TreeNode("Rvalue", None, [rhs]),
-                        ],
-                    )
-                )
-            if not self.accept("OP", ","):
-                break
-        self.expect("OP", ";")
-        # a supply net is permanently tied to a constant level
+        width = self.parse_width_opt()
+        inits: list[TreeNode] = []
+        decls = self.listed(self.parse_net, label, width, inits)
         if kw in ("supply0", "supply1"):
-            const = "1'b0" if kw == "supply0" else "1'b1"
             for d in decls:
-                extra.append(
-                    TreeNode(
-                        "Assign",
-                        None,
-                        [
-                            TreeNode("Lvalue", None, [TreeNode("Identifier", d.name)]),
-                            TreeNode("Rvalue", None, [TreeNode("IntConst", const)]),
-                        ],
-                    )
-                )
-        return [TreeNode("Decl", None, decls)] + extra
+                level = TreeNode("IntConst", "1'b0" if kw == "supply0" else "1'b1")
+                inits.append(_assignment("Assign", TreeNode("Identifier", d.name), level))
+        return [TreeNode("Decl", None, decls)] + inits
 
-    def parse_param_decl(self) -> list[TreeNode]:
-        self.advance()  # parameter | localparam
-        width = self.parse_width() if self.at("OP", "[") else None
-        decls: list[TreeNode] = []
-        while True:
-            pname = self.expect("ID").value
-            self.expect("OP", "=")
-            value = self.parse_expression()
-            kids = [value] + ([self._copy(width)] if width else [])
-            decls.append(TreeNode("Parameter", pname, kids))
-            if not self.accept("OP", ","):
-                break
-        self.expect("OP", ";")
-        return [TreeNode("Decl", None, decls)]
-
-    def parse_assign(self) -> list[TreeNode]:
-        self.expect("KW", "assign")
-        if self.at("OP", "#"):
-            raise self.unsupported("delay control")
-        items: list[TreeNode] = []
-        while True:
-            lhs = self.parse_lvalue()
-            self.expect("OP", "=")
+    def parse_net(self, label: str, width: TreeNode | None, inits: list[TreeNode]) -> TreeNode:
+        name = self.expect("ID").value
+        if self.at("OP", "["):
+            raise self.unsupported("memory declaration")
+        if self.accept("OP", "="):
+            if label == "Reg":
+                raise self.unsupported("register initializer")
             rhs = self.parse_expression()
-            items.append(
-                TreeNode(
-                    "Assign",
-                    None,
-                    [TreeNode("Lvalue", None, [lhs]), TreeNode("Rvalue", None, [rhs])],
-                )
-            )
-            if not self.accept("OP", ","):
-                break
-        self.expect("OP", ";")
-        return items
+            inits.append(_assignment("Assign", TreeNode("Identifier", name), rhs))
+        return TreeNode(label, name, [width] if width else [])
+
+    def parse_assign(self) -> TreeNode:
+        lhs = self.parse_lvalue()
+        self.expect("OP", "=")
+        return _assignment("Assign", lhs, self.parse_expression())
 
     def parse_always(self) -> TreeNode:
         self.expect("KW", "always")
@@ -437,15 +380,11 @@ class _Parser:
             items.append(TreeNode("Sens", "all"))
         else:
             while True:
-                if self.accept("KW", "posedge"):
-                    items.append(TreeNode("Sens", "posedge", [self.parse_expression()]))
-                elif self.accept("KW", "negedge"):
-                    items.append(TreeNode("Sens", "negedge", [self.parse_expression()]))
-                else:
-                    items.append(TreeNode("Sens", "level", [self.parse_expression()]))
-                if self.accept("KW", "or") or self.accept("OP", ","):
-                    continue
-                break
+                edge = self.accept("KW", "posedge") or self.accept("KW", "negedge")
+                kind = edge.value if edge else "level"
+                items.append(TreeNode("Sens", kind, [self.parse_expression()]))
+                if not (self.accept("KW", "or") or self.accept("OP", ",")):
+                    break
         self.expect("OP", ")")
         return TreeNode("SensList", None, items)
 
@@ -472,9 +411,7 @@ class _Parser:
 
     def parse_block(self) -> TreeNode:
         self.expect("KW", "begin")
-        name = None
-        if self.accept("OP", ":"):
-            name = self.expect("ID").value
+        name = self.expect("ID").value if self.accept("OP", ":") else None
         stmts: list[TreeNode] = []
         while not self.at("KW", "end"):
             if self.at("EOF"):
@@ -495,8 +432,7 @@ class _Parser:
         return TreeNode("IfStatement", None, kids)
 
     def parse_case(self) -> TreeNode:
-        kw = self.advance().value
-        label = {"case": "CaseStatement", "casex": "CasexStatement", "casez": "CasezStatement"}[kw]
+        label = self.advance().value.capitalize() + "Statement"
         self.expect("OP", "(")
         comp = self.parse_expression()
         self.expect("OP", ")")
@@ -506,14 +442,11 @@ class _Parser:
                 raise self.fail("missing endcase")
             if self.accept("KW", "default"):
                 self.accept("OP", ":")
-                items.append(TreeNode("Case", None, [self.parse_statement()]))
+                conds = []
             else:
-                conds = [self.parse_expression()]
-                while self.accept("OP", ","):
-                    conds.append(self.parse_expression())
+                conds = self.listed(self.parse_expression)
                 self.expect("OP", ":")
-                conds.append(self.parse_statement())
-                items.append(TreeNode("Case", None, conds))
+            items.append(TreeNode("Case", None, conds + [self.parse_statement()]))
         self.expect("KW", "endcase")
         return TreeNode(label, None, [comp] + items)
 
@@ -529,19 +462,12 @@ class _Parser:
             raise self.unsupported("delay control")
         rhs = self.parse_expression()
         self.expect("OP", ";")
-        return TreeNode(
-            label,
-            None,
-            [TreeNode("Lvalue", None, [lhs]), TreeNode("Rvalue", None, [rhs])],
-        )
+        return _assignment(label, lhs, rhs)
 
     def parse_lvalue(self) -> TreeNode:
         self.check_unsupported()
-        if self.at("OP", "{"):
-            self.advance()
-            parts = [self.parse_lvalue()]
-            while self.accept("OP", ","):
-                parts.append(self.parse_lvalue())
+        if self.accept("OP", "{"):
+            parts = self.listed(self.parse_lvalue)
             self.expect("OP", "}")
             return TreeNode("Concat", None, parts)
         if self.at("ID"):
@@ -613,90 +539,56 @@ class _Parser:
     def parse_concat(self) -> TreeNode:
         self.expect("OP", "{")
         first = self.parse_expression()
-        if self.at("OP", "{"):
+        if self.accept("OP", "{"):
             # replication: {times {expr, ...}}
-            self.advance()
-            parts = [self.parse_expression()]
+            parts = self.listed(self.parse_expression)
+            node = TreeNode("Repeat", None, [first, TreeNode("Concat", None, parts)])
+            self.expect("OP", "}")
+        else:
+            node = TreeNode("Concat", None, [first])
             while self.accept("OP", ","):
-                parts.append(self.parse_expression())
-            self.expect("OP", "}")
-            self.expect("OP", "}")
-            return TreeNode("Repeat", None, [first, TreeNode("Concat", None, parts)])
-        parts = [first]
-        while self.accept("OP", ","):
-            parts.append(self.parse_expression())
+                node.children.append(self.parse_expression())
         self.expect("OP", "}")
-        return TreeNode("Concat", None, parts)
+        return node
 
     # --- instantiation ---
 
-    def parse_gate_instances(self) -> TreeNode:
-        gate = self.advance().value
-        instances: list[TreeNode] = []
-        while True:
-            if self.at("OP", "#"):
-                raise self.unsupported("delay control")
-            if self.at("ID"):
-                iname = self.advance().value
-            else:
-                iname = f"_gate{self.gate_counter}"
-                self.gate_counter += 1
-            if self.at("OP", "["):
-                raise self.unsupported("instance array")
-            self.expect("OP", "(")
-            args: list[TreeNode] = []
-            if not self.at("OP", ")"):
-                while True:
-                    args.append(TreeNode("PortArg", None, [self.parse_expression()]))
-                    if not self.accept("OP", ","):
-                        break
-            self.expect("OP", ")")
-            instances.append(TreeNode("Instance", iname, args))
-            if not self.accept("OP", ","):
-                break
-        self.expect("OP", ";")
-        return TreeNode("InstanceList", gate, instances)
-
-    def parse_module_instances(self) -> TreeNode:
-        modname = self.advance().value
-        if self.at("OP", "#"):
-            if self.peek(1).value == "(":
+    def parse_instances(self, gate: bool) -> TreeNode:
+        """The instance list of a gate primitive or of a module."""
+        kind = self.advance().value
+        if not gate and self.at("OP", "#"):
+            if self.tokens[self.pos + 1].value == "(":  # '#' is never the last token
                 raise self.unsupported("parameter value override")
             raise self.unsupported("delay control")
-        instances: list[TreeNode] = []
-        while True:
-            iname = self.expect("ID").value
-            if self.at("OP", "["):
-                raise self.unsupported("instance array")
-            self.expect("OP", "(")
-            args = self.parse_port_args()
-            self.expect("OP", ")")
-            instances.append(TreeNode("Instance", iname, args))
-            if not self.accept("OP", ","):
-                break
-        self.expect("OP", ";")
-        return TreeNode("InstanceList", modname, instances)
+        return TreeNode("InstanceList", kind, self.listed(self.parse_instance, gate))
 
-    def parse_port_args(self) -> list[TreeNode]:
-        args: list[TreeNode] = []
-        if self.at("OP", ")"):
-            return args
-        while True:
-            if self.accept("OP", "."):
-                pname = self.expect("ID").value
-                self.expect("OP", "(")
-                kids: list[TreeNode] = []
-                if not self.at("OP", ")"):
-                    kids.append(self.parse_expression())
-                self.expect("OP", ")")
-                args.append(TreeNode("PortArg", pname, kids))
-            elif self.at("OP", ",") or self.at("OP", ")"):
-                args.append(TreeNode("PortArg", None, []))
-            else:
-                args.append(TreeNode("PortArg", None, [self.parse_expression()]))
-            if not self.accept("OP", ","):
-                break
-        return args
+    def parse_instance(self, gate: bool) -> TreeNode:
+        if gate and self.at("OP", "#"):
+            raise self.unsupported("delay control")
+        if gate and not self.at("ID"):
+            name = f"_gate{self.gate_counter}"
+            self.gate_counter += 1
+        else:
+            name = self.expect("ID").value
+        if self.at("OP", "["):
+            raise self.unsupported("instance array")
+        self.expect("OP", "(")
+        args = [] if self.at("OP", ")") else self.listed(self.parse_port_arg, not gate)
+        self.expect("OP", ")")
+        return TreeNode("Instance", name, args)
+
+    def parse_port_arg(self, named: bool) -> TreeNode:
+        """A gate terminal (an expression) or a module port connection,
+        which may also be empty or ``.name([expression])``."""
+        if named and self.accept("OP", "."):
+            name = self.expect("ID").value
+            self.expect("OP", "(")
+            kids = [] if self.at("OP", ")") else [self.parse_expression()]
+            self.expect("OP", ")")
+            return TreeNode("PortArg", name, kids)
+        if named and (self.at("OP", ",") or self.at("OP", ")")):
+            return TreeNode("PortArg", None, [])
+        return TreeNode("PortArg", None, [self.parse_expression()])
 
 
 def parse_verilog(source) -> TreeNode:

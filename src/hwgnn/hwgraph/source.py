@@ -47,37 +47,24 @@ class FlatDesign:
     name: str = ""
 
 
+# a string literal (an unclosed one runs to the end of the text), a line
+# comment, a closed block comment (group 1) or an unclosed one
+_COMMENT_RE = re.compile(r'"(?:[^"\\]|\\.)*(?:"|\\?\Z)|//[^\n]*|(/\*.*?\*/)|/\*.*', re.S)
+
+
+def _uncomment(m: re.Match[str]) -> str:
+    if m.group(1):
+        # keep newlines so diagnostics still point at real lines
+        return "\n" * m.group(1).count("\n")
+    return m.group() if m.group().startswith('"') else ""
+
+
 def strip_comments(text: str) -> str:
     """Remove // line and /* block */ comments, preserving line numbers.
 
     Comment characters inside string literals are left alone.
     """
-    out: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            j = min(j + 1, n)
-            out.append(text[i:j])
-            i = j
-        elif c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            if j < 0:
-                i = n
-            else:
-                # keep newlines so diagnostics still point at real lines
-                out.append("\n" * text.count("\n", i, j + 2))
-                i = j + 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _COMMENT_RE.sub(_uncomment, text)
 
 
 def _resolve_includes(

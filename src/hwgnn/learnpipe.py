@@ -298,8 +298,6 @@ def _fit(model: GnnModel, cfg: TrainConfig, n_train: int, next_batch, batch_loss
         while step < steps and best_metric < _CEILING:
             nc.zero_grads(params)
             loss = batch_loss(next_batch())
-            if not np.isfinite(loss.data[0, 0]):
-                raise DivergenceError(step, last_finite)
             last_finite = float(loss.data[0, 0])
             nc.backward(loss)
             if adam is not None:

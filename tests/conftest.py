@@ -1,5 +1,5 @@
 """Shared helpers: one-call graph builders, a finite-difference gradient
-check, and tiny corpus fixtures."""
+check, tiny corpus fixtures, and the benchmark's corpus generator."""
 import importlib.util
 import sys
 from pathlib import Path

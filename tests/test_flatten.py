@@ -2,7 +2,10 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from comment_reference import strip_comments_reference
 from hwgnn.errors import (
     AmbiguousTopModuleError,
     DuplicateModuleError,
@@ -45,6 +48,14 @@ class TestStripComments:
         from hwgnn.hwgraph.source import strip_comments
 
         assert strip_comments("a /* never closed").strip() == "a"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(['"', "\\", "/", "*", "\n", "a", " ", "//", "/*", "*/"]))
+           .map("".join))
+    def test_matches_the_reference_loop(self, text):
+        from hwgnn.hwgraph.source import strip_comments
+
+        assert strip_comments(text) == strip_comments_reference(text)
 
 
 class TestFlatten:
