@@ -4,7 +4,7 @@ of graphs on one tape; one graph is a batch of one."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,9 @@ class GraphAdj:
     msg_src: np.ndarray
     msg_dst: np.ndarray
     inv_deg: np.ndarray  # n x 1, zero rows for isolated nodes
+    # nncore.graph_conv's sum plans keyed by transposed, built on first use:
+    # the message arrays must not change after the first conv
+    plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def build_adjacency(n: int, edges, directed: bool) -> GraphAdj:

@@ -7,7 +7,9 @@ of a batch, and the two losses, plus the row softmax and the cosine of
 index arrays of pairs of rows.  Each operation checks shapes, verifies its
 output is finite, and records a backward closure on the tape, unless
 inside ``no_tape()``.  Neighbour means run over per-edge message index
-arrays, never a dense adjacency matrix.
+arrays, never a dense adjacency matrix: a planned sum groups the messages
+by their rank at the receiver, so each group adds at most one row into
+each node, and the sum allocates nothing larger than the n x d output.
 """
 from __future__ import annotations
 
@@ -159,22 +161,61 @@ def _scatter_rows(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=rows.reshape(-1), minlength=n * d).reshape(n, d)
 
 
+def _sum_plan(recv: np.ndarray, send: np.ndarray, n: int) -> list:
+    """The messages send[i] -> recv[i] grouped by rank: group r holds each
+    receiver's r-th message in message order, so no receiver appears twice
+    in a group.  One (receivers, senders) pair of arrays per group."""
+    count = np.bincount(recv, minlength=n)
+    by_recv = np.argsort(recv, kind="stable")
+    rank = np.empty(recv.size, dtype=np.intp)
+    rank[by_recv] = np.arange(recv.size) - np.repeat(np.cumsum(count) - count, count)
+    order = np.argsort(rank, kind="stable")
+    recv, send = recv[order], send[order]
+    bounds = np.cumsum(np.bincount(rank)).tolist()
+    return [(recv[lo:hi], send[lo:hi]) for lo, hi in zip([0] + bounds, bounds)]
+
+
+def _planned_sum(rows: np.ndarray, plan: list, n: int) -> np.ndarray:
+    """n zero rows with rows[send[i]] added into row recv[i] for each
+    message i of the plan: a receiver's messages arrive one group after
+    another, in message order, so the sums equal those of _scatter_rows
+    bit for bit, and no temporary is larger than n x d."""
+    out = np.zeros((n, rows.shape[1]))
+    for recv, send in plan:
+        part = rows.take(send, axis=0)
+        part += out.take(recv, axis=0)
+        out[recv] = part
+    return out
+
+
+def _adj_plan(adj, transposed: bool):
+    """adj's sum plan for the mean (messages into dst) or for its transpose
+    (into src), kept in ``adj.plans`` where adj has that dict."""
+    plans = getattr(adj, "plans", {})
+    if transposed not in plans:
+        recv, send = (adj.msg_src, adj.msg_dst) if transposed else (adj.msg_dst, adj.msg_src)
+        plans[transposed] = _sum_plan(recv, send, adj.n)
+    return plans[transposed]
+
+
 def graph_conv(X: Tensor, W_self: Tensor, W_neigh: Tensor, bias: Tensor, adj,
                activation: str) -> Tensor:
     """act(X W_self + M W_neigh + bias), where M[v] is the mean of X over
     v's neighbours: inv_deg[v] times the sum of X[msg_src[i]] over the
-    messages i with msg_dst[i] == v.  ``adj`` carries n, msg_src, msg_dst
-    and the n x 1 inv_deg (see ``graph2vec.build_adjacency``)."""
+    messages i with msg_dst[i] == v, added in message order.  ``adj``
+    carries n, msg_src, msg_dst (in any order) and the n x 1 inv_deg (see
+    ``graph2vec.build_adjacency``), and may keep the sum plans (see
+    ``_sum_plan``) in a dict ``plans``; without it they are planned per call."""
     if X.rows != adj.n:
         raise ShapeMismatchError(f"{X.rows} feature rows for {adj.n} nodes")
     _check_linear(X, W_self, bias)
     if W_neigh.shape != W_self.shape:
         raise ShapeMismatchError(f"W_neigh {W_neigh.shape} vs W_self {W_self.shape}")
     src, dst, inv_deg = adj.msg_src, adj.msg_dst, adj.inv_deg
-    if src.size and max(src.max(), dst.max()) >= adj.n:
+    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= adj.n):
         raise ShapeMismatchError(f"message index out of range for {adj.n} nodes")
     with np.errstate(over="ignore", invalid="ignore"):  # _make reports blow-ups
-        mean = _scatter_rows(X.data[src], dst, adj.n) * inv_deg
+        mean = _planned_sum(X.data, _adj_plan(adj, False), adj.n) * inv_deg
         pre = X.data @ W_self.data + mean @ W_neigh.data + bias.data
         out_data = _act(pre, activation)
 
@@ -190,7 +231,7 @@ def graph_conv(X: Tensor, W_self: Tensor, W_neigh: Tensor, bias: Tensor, adj,
             # the mean's transpose: message i sends g_mean[dst[i]] back to src[i]
             g_mean = (gpre @ W_neigh.data.T) * inv_deg
             X.ensure_grad()[...] += gpre @ W_self.data.T
-            X.grad += _scatter_rows(g_mean[dst], src, adj.n)
+            X.grad += _planned_sum(g_mean, _adj_plan(adj, True), adj.n)
 
     return _make(out_data, (X, W_self, W_neigh, bias), backward)
 

@@ -220,6 +220,16 @@ class TestShapeErrors:
             graph_conv(constant(np.ones((2, 1))), constant([[1.0]]), constant([[1.0]]),
                        zeros_bias(1), adj, "identity")
 
+    @pytest.mark.parametrize("src, dst", [([-1], [0]), ([0], [-1])],
+                             ids=["negative sender", "negative receiver"])
+    def test_scatter_negative_index(self, src, dst):
+        # a negative sender would wrap to the last node rather than fail
+        adj = SimpleNamespace(n=3, msg_src=np.array(src), msg_dst=np.array(dst),
+                              inv_deg=np.ones((3, 1)))
+        with pytest.raises(ShapeMismatchError, match="out of range"):
+            graph_conv(constant(np.ones((3, 1))), constant([[1.0]]), constant([[1.0]]),
+                       zeros_bias(1), adj, "identity")
+
     def test_three_dims_rejected(self):
         with pytest.raises(ShapeMismatchError):
             Tensor(np.ones((2, 2, 2)))
