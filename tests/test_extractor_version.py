@@ -13,7 +13,18 @@ import pytest
 
 from conftest import load_gen
 from hwgnn import graphdata
-from hwgnn.hwgraph import AST, DFG, graph_to_json, hw2graph, load_design_dir
+from hwgnn.hwgraph import (
+    AST,
+    DFG,
+    elaborate,
+    find_top_module,
+    flatten,
+    graph_to_json,
+    hw2graph,
+    load_design_dir,
+    parse_verilog,
+)
+from hwgnn.hwgraph.parser import deep_stack
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -46,10 +57,25 @@ PINNED_CORPORA = {
 }
 CURRENT_CORPORA = PINNED_CORPORA.get(graphdata.EXTRACTOR_VERSION, {})
 
+# version -> corpus -> sha256 over repr of elaborate()'s kinds (in order),
+# drivers (in order) and driven_order() of every design in name order; the
+# DFG digests above omit declared signals that nothing drives or reads.
+# "doubling" is doubling_hierarchy(6), one design.
+PINNED_ELABORATION = {
+    1: {
+        "ht": "3e1759d9101404eb3d978b8fac3f9dbc9af160a395424bb4fe4229b19e8bd892",
+        "ip": "8ace2e173d5a7b1b69b73311bf9b5bb1968a3facc9c1edf77e928c177dbab9d4",
+        "extract": "091892bd6a6e398119b1eaa460265644c30189f4a6c2bf61e0117eda0ccf912d",
+        "doubling": "60d53440706b401293daac3c14f8d82dd4c2fb3ddb17269cd03bdef9e560b497",
+    },
+}
+CURRENT_ELABORATION = PINNED_ELABORATION.get(graphdata.EXTRACTOR_VERSION, {})
+
 
 def test_current_version_is_pinned():
     assert graphdata.EXTRACTOR_VERSION in PINNED
     assert graphdata.EXTRACTOR_VERSION in PINNED_CORPORA
+    assert graphdata.EXTRACTOR_VERSION in PINNED_ELABORATION
 
 
 @pytest.mark.parametrize("design, kind", sorted(CURRENT))
@@ -79,4 +105,47 @@ def test_whole_corpus_extraction_matches_the_pinned_digest(corpus, kind, corpus_
     assert digest.hexdigest() == CURRENT_CORPORA[(corpus, kind)], (
         f"extraction output changed on {corpus}: raise graphdata.EXTRACTOR_VERSION and "
         "pin the new digests under it"
+    )
+
+
+def doubling_hierarchy(depth: int) -> str:
+    """m0 instantiates m1 twice, m1 instantiates m2 twice, and so on: 2**depth
+    leaves.  One instance per level connects by name and one by position;
+    ports run in, out and both ways, and the leaf has an ANSI header, a
+    parameter, an always block and a wire nothing drives or reads."""
+    mods = [
+        f"module m{depth} #(parameter K = 1) (input a, input [1:0] b, output reg y, inout z);\n"
+        "  wire idle;\n"
+        "  always @(*) if (a) y = b[K]; else y = b[0] ^ z;\nendmodule\n"
+    ]
+    for i in range(depth - 1, -1, -1):
+        mods.append(
+            f"module m{i}(a, b, y, z);\n"
+            "  input a;\n  input [1:0] b;\n  output y;\n  inout z;\n  wire y1, y2;\n"
+            f"  m{i + 1} u0(.a(a), .b(b), .y(y1), .z(z));\n"
+            f"  m{i + 1} u1(y1, {{b[0], a}}, y2, z);\n"
+            "  assign y = y1 | y2;\nendmodule\n"
+        )
+    return "".join(reversed(mods))
+
+
+def elaboration_repr(tree, top) -> bytes:
+    with deep_stack():
+        elab = elaborate(tree, top)
+    return repr((list(elab.kinds.items()), list(elab.drivers.items()),
+                 elab.driven_order())).encode("utf-8")
+
+
+@pytest.mark.parametrize("corpus", sorted(CURRENT_ELABORATION))
+def test_elaboration_matches_the_pinned_digest(corpus, corpus_dirs):
+    digest = hashlib.sha256()
+    if corpus == "doubling":
+        digest.update(elaboration_repr(parse_verilog(doubling_hierarchy(6)), "m0"))
+    else:
+        for path in sorted(p for p in corpus_dirs[corpus].iterdir() if p.is_dir()):
+            flat = flatten(load_design_dir(path), name=path.name)
+            digest.update(elaboration_repr(parse_verilog(flat), find_top_module(flat)))
+    assert digest.hexdigest() == CURRENT_ELABORATION[corpus], (
+        f"elaboration output changed on {corpus}: raise graphdata.EXTRACTOR_VERSION "
+        "and pin the new digests under it"
     )
