@@ -19,10 +19,10 @@ from hwgnn import (
     load_design_dir,
     make_pairs,
     normalize,
-    predict_piracy,
     split,
     train_pair_model,
 )
+from hwgnn.learnpipe import pair_similarity_value, piracy_verdict
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "ip"
 
@@ -52,10 +52,9 @@ def main() -> None:
 
     a, b = "ip_shifter_v0", "ip_shifter_v4"
     c = "ip_majority_v2"
-    print(f"{a} vs {b}: {predict_piracy(ckpt.model, tensors[a], tensors[b], cfg.delta)}"
-          f"  (variant of the same core)")
-    print(f"{a} vs {c}: {predict_piracy(ckpt.model, tensors[a], tensors[c], cfg.delta)}"
-          f"  (unrelated cores)")
+    for other, note in ((b, "variant of the same core"), (c, "unrelated cores")):
+        sim = pair_similarity_value(ckpt.model, tensors[a], tensors[other])
+        print(f"{a} vs {other}: {piracy_verdict(sim, cfg.delta)}  ({note})")
     print(f"total wall time {time.perf_counter() - started:.1f}s")
 
 

@@ -45,7 +45,6 @@ from .learnpipe import (
     export_embeddings,
     load_checkpoint,
     predict_ht,
-    predict_piracy,
     save_checkpoint,
     train_graph_classifier,
     train_pair_model,
@@ -99,7 +98,6 @@ __all__ = [
     "export_embeddings",
     "load_checkpoint",
     "predict_ht",
-    "predict_piracy",
     "save_checkpoint",
     "train_graph_classifier",
     "train_pair_model",

@@ -167,6 +167,21 @@ def _name(path: Path) -> str:
     return Path(path).resolve().name
 
 
+def _error_line(exc: BaseException, design: str | None = None) -> str:
+    """The one line every command prints for a typed error:
+    ``error: [DESIGN: ]Type: message``."""
+    return f"error: {f'{design}: ' if design else ''}{type(exc).__name__}: {exc}"
+
+
+def _naming(path: Path, step, *args):
+    """``step(*args)``; a typed error it raises names the design at ``path``."""
+    try:
+        return step(*args)
+    except HwgnnError as exc:
+        exc.design = _name(path)
+        raise
+
+
 def _extract(path: Path, kind: str, top: str | None, design=None):
     """The design's graph, named after its directory; reads the design's
     files unless the caller has read them already."""
@@ -185,14 +200,16 @@ def _graph_worker(task: tuple) -> tuple:
         write_graph(g, out)
         return (g.design_name, g.num_nodes, g.num_edges, time.perf_counter() - started, None)
     except Exception as exc:  # worker boundary: report, do not crash the pool
-        return (_name(path), 0, 0, time.perf_counter() - started, f"{type(exc).__name__}: {exc}")
+        name = _name(path)
+        return (name, 0, 0, time.perf_counter() - started, _error_line(exc, name))
 
 
 def _tensors(run: Run, paths: list[Path], vocab=None, labels=None):
     """Each design's tensors, in ``paths`` order, and the vocabulary.
 
     Designs are read and extracted one at a time in ``paths`` order, so the
-    first failure raised is the first failing design.  With no ``vocab``
+    first failure raised is the first failing design, and a typed error
+    raised for a design names it (``HwgnnError.design``).  With no ``vocab``
     (training) every design is extracted and normalized, the vocabulary is
     built from the graphs and then each one is encoded, so a cache hit skips
     only the encoding.  With a ``vocab`` a hit on the design's sources skips
@@ -217,12 +234,12 @@ def _tensors(run: Run, paths: list[Path], vocab=None, labels=None):
         return tensors
 
     # a generator, so each design is read just before it is extracted
-    designs = ((p, load_design_dir(p)) for p in paths)
+    designs = ((p, _naming(p, load_design_dir, p)) for p in paths)
     if vocab is not None:
-        return [encoded(p, design, vocab) for p, design in designs], vocab
-    extracted = [(p, design, graph(p, design)) for p, design in designs]
+        return [_naming(p, encoded, p, design, vocab) for p, design in designs], vocab
+    extracted = [(p, design, _naming(p, graph, p, design)) for p, design in designs]
     vocab = graphdata.build_vocab([g for _, _, g in extracted])
-    return [encoded(p, design, vocab, g) for p, design, g in extracted], vocab
+    return [_naming(p, encoded, p, design, vocab, g) for p, design, g in extracted], vocab
 
 
 def _input_paths(run: Run) -> list[Path]:
@@ -258,10 +275,10 @@ def cmd_graph(run: Run) -> int:
         if err is None:
             print(f"{name:<{name_w}}  {nodes:>7}  {edges:>7}  {secs:>8.3f}")
         else:
-            failures.append((name, err))
+            failures.append(err)
             print(f"{name:<{name_w}}  {'-':>7}  {'-':>7}  {secs:>8.3f}  FAILED")
-    for name, err in failures:
-        print(f"error: {name}: {err}", file=sys.stderr)
+    for err in failures:
+        print(err, file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -374,7 +391,7 @@ def cmd_infer_ht(run: Run) -> int:
             print(f"{t.graph_id}\t{learnpipe.predict_ht(model, t)}")
         except HwgnnError as exc:
             failures += 1
-            print(f"error: {_name(p)}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            print(_error_line(exc, _name(p)), file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -446,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HwgnnError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_error_line(exc, exc.design), file=sys.stderr)
         return 1
 
 

@@ -2,7 +2,10 @@
 
 
 class HwgnnError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``design`` names
+    the design the error arose in, once a command has set it."""
+
+    design: str | None = None
 
 
 # --- source handling / flattening ---

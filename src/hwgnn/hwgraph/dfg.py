@@ -1,14 +1,18 @@
 """Data-flow graph construction.
 
-The design is first elaborated: module instances are inlined with
-hierarchical name prefixes, always blocks are lowered to one driving
-expression per signal, and parameters become constant leaves.  Each driven
-signal then gets a dependency fragment (edges point dependent -> dependency),
-and the fragments are merged by unifying signal nodes that share a name.
+The design is first elaborated in one pass per module instance: the
+module's declarations are read once (parameters, port directions, declared
+signals), its instances are inlined with hierarchical name prefixes and
+bound to the formal ports that pass returns, always blocks are lowered to
+one driving expression per signal, and parameters become constant leaves.
+Each driven signal then gets a dependency fragment (edges point dependent ->
+dependency), and the fragments are merged by unifying signal nodes that
+share a name.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import (
     ElaborationDepthError,
@@ -49,20 +53,19 @@ MAX_DEPTH = 32
 
 @dataclass
 class Elaborated:
-    """Flattened single-scope view of the design."""
+    """Flattened single-scope view of the design; ``kinds`` holds every
+    declared signal in declaration order."""
 
     kinds: dict[str, str] = field(default_factory=dict)  # name -> input|output|signal
     drivers: dict[str, TreeNode] = field(default_factory=dict)
-    decl_order: list[str] = field(default_factory=list)
 
     def driven_order(self) -> list[str]:
-        return [s for s in self.decl_order if s in self.drivers]
+        return [s for s in self.kinds if s in self.drivers]
 
 
-class _Scope:
-    def __init__(self, prefix: str, params: set[str]):
-        self.prefix = prefix
-        self.params = params
+class _Scope(NamedTuple):
+    prefix: str
+    params: set[str]
 
 
 class _Elaborator:
@@ -74,10 +77,8 @@ class _Elaborator:
     # --- bookkeeping ---
 
     def declare(self, name: str, kind: str = "signal") -> None:
-        if name not in self.out.kinds:
-            self.out.kinds[name] = kind
-            self.out.decl_order.append(name)
-        elif kind != "signal" and self.out.kinds[name] == "signal":
+        # a port kind replaces "signal"; nothing replaces a port kind
+        if self.out.kinds.get(name, "signal") == "signal":
             self.out.kinds[name] = kind
 
     def contribute(self, name: str, expr: TreeNode) -> None:
@@ -88,45 +89,31 @@ class _Elaborator:
 
     def convert(self, expr: TreeNode, scope: _Scope) -> TreeNode:
         if expr.label == "Identifier":
-            assert expr.name is not None
-            if expr.name in scope.params:
-                return TreeNode("ParamRef", scope.prefix + expr.name)
             full = scope.prefix + expr.name
+            if expr.name in scope.params:
+                return TreeNode("ParamRef", full)
             self.declare(full)
             return TreeNode("Identifier", full)
-        if expr.label in ("IntConst", "ParamRef"):
-            return TreeNode(expr.label, expr.name)
         return TreeNode(expr.label, expr.name, [self.convert(c, scope) for c in expr.children])
 
     # --- assignment targets ---
 
-    def assign_to(self, lvalue: TreeNode, rhs: TreeNode, scope: _Scope | None) -> None:
-        """Record rhs as a driver contribution of the target signal(s).
-
-        ``lvalue`` is scope-local when scope is given, already-converted
-        otherwise.  A select with a non-constant index makes the index a
-        dependency of the target as well.
-        """
-        conv = (lambda e: self.convert(e, scope)) if scope else (lambda e: e)
+    def assign_to(self, lvalue: TreeNode, rhs: TreeNode, scope: _Scope) -> None:
+        """Record rhs as a driver contribution of the scope-local target
+        signal(s).  A select with a non-constant index makes the index a
+        dependency of the target as well."""
         if lvalue.label == "Identifier":
             assert lvalue.name is not None
-            name = (scope.prefix + lvalue.name) if scope else lvalue.name
-            self.declare(name)
-            self.contribute(name, rhs)
-            return
-        if lvalue.label in ("Pointer", "Partselect"):
-            indices = [conv(c) for c in lvalue.children[1:]]
+            self.contribute(scope.prefix + lvalue.name, rhs)
+        elif lvalue.label in ("Pointer", "Partselect"):
+            indices = [self.convert(c, scope) for c in lvalue.children[1:]]
             deps = [i for i in indices if i.label not in ("IntConst", "ParamRef")]
             self.assign_to(lvalue.children[0], TreeNode("Concat", None, [rhs] + deps) if deps else rhs, scope)
-            return
-        if lvalue.label == "Concat":
-            for part in lvalue.children:
-                self.assign_to(part, rhs, scope)
-            return
-        # instance actuals may be arbitrary expressions; only signal-shaped
-        # targets can take a driver
-        for child in lvalue.children:
-            self.assign_to(child, rhs, scope)
+        else:
+            # a concatenation's parts; instance actuals may be arbitrary
+            # expressions, and only signal-shaped targets can take a driver
+            for child in lvalue.children:
+                self.assign_to(child, rhs, scope)
 
     # --- always-block lowering ---
 
@@ -135,9 +122,7 @@ class _Elaborator:
             for s in stmt.children:
                 self.exec_stmt(s, env, scope)
         elif stmt.label in ("BlockingSubstitution", "NonblockingSubstitution"):
-            lhs = stmt.children[0].children[0]
-            rhs = stmt.children[1].children[0]
-            self.env_assign(lhs, rhs, env)
+            self.env_assign(stmt.children[0].children[0], stmt.children[1].children[0], env)
         elif stmt.label == "IfStatement":
             self.exec_if(stmt.children[0], stmt.children[1],
                          stmt.children[2] if len(stmt.children) > 2 else None, env, scope)
@@ -162,44 +147,30 @@ class _Elaborator:
             for part in lvalue.children:
                 self.env_assign(part, rhs, env)
 
-    def exec_if(
-        self,
-        cond: TreeNode,
-        then_stmt: TreeNode,
-        else_stmt: TreeNode | None,
-        env: dict[str, TreeNode],
-        scope: _Scope,
-    ) -> None:
+    def exec_if(self, cond: TreeNode, then_stmt: TreeNode, else_stmt: TreeNode | None,
+                env: dict[str, TreeNode], scope: _Scope) -> None:
         then_env = dict(env)
         self.exec_stmt(then_stmt, then_env, scope)
         else_env = dict(env)
         if else_stmt is not None:
             self.exec_stmt(else_stmt, else_env, scope)
-        changed = [
-            k
-            for k in list(then_env) + [k for k in else_env if k not in then_env]
-            if then_env.get(k) is not env.get(k) or else_env.get(k) is not env.get(k)
-        ]
-        for k in changed:
-            fallback = env.get(k, TreeNode("Identifier", k))
-            tv = then_env.get(k, fallback)
-            ev = else_env.get(k, fallback)
-            env[k] = TreeNode("Cond", None, [cond, tv, ev])
+        for k in {**then_env, **else_env}:
+            if then_env.get(k) is not env.get(k) or else_env.get(k) is not env.get(k):
+                fallback = env.get(k, TreeNode("Identifier", k))
+                env[k] = TreeNode("Cond", None, [cond, then_env.get(k, fallback), else_env.get(k, fallback)])
 
     def desugar_case(self, stmt: TreeNode) -> TreeNode:
         comp = stmt.children[0]
-        items = stmt.children[1:]
         default: TreeNode | None = None
         arms: list[tuple[TreeNode, TreeNode]] = []
-        for item in items:
+        for item in stmt.children[1:]:
             *values, body = item.children
             if not values:
                 default = body
                 continue
-            eqs = [TreeNode("Eq", None, [comp, v]) for v in values]
-            cond = eqs[0]
-            for e in eqs[1:]:
-                cond = TreeNode("Lor", None, [cond, e])
+            cond = TreeNode("Eq", None, [comp, values[0]])
+            for v in values[1:]:
+                cond = TreeNode("Lor", None, [cond, TreeNode("Eq", None, [comp, v])])
             arms.append((cond, body))
         chain: TreeNode | None = default
         for cond, body in reversed(arms):
@@ -209,28 +180,12 @@ class _Elaborator:
 
     # --- module structure ---
 
-    def module_ports(self, mod: TreeNode) -> list[tuple[str, str]]:
-        """Formal port order with directions (input/output/inout)."""
-        ports: list[tuple[str, str]] = []
-        directions: dict[str, str] = {}
-        for item in mod.children:
-            if item.label == "Decl":
-                for d in item.children:
-                    if d.label in ("Input", "Output", "Inout"):
-                        assert d.name is not None
-                        directions[d.name] = d.label.lower()
-        portlist = next(c for c in mod.children if c.label == "Portlist")
-        for p in portlist.children:
-            if p.label == "Ioport":
-                head = p.children[0]
-                assert head.name is not None
-                ports.append((head.name, head.label.lower()))
-            elif p.label == "Port":
-                assert p.name is not None
-                ports.append((p.name, directions.get(p.name, "inout")))
-        return ports
-
-    def elab_module(self, modname: str, prefix: str, depth: int, is_top: bool) -> None:
+    def elab_module(self, modname: str, prefix: str, depth: int, is_top: bool) -> list[tuple[str, str]]:
+        """Inline module ``modname`` under ``prefix``.  Its ports are declared
+        first, in port order, then its declared signals in item order; only
+        the top module's inputs and outputs keep their direction as a kind.
+        Returns the formal ports in order, each with its direction
+        (input/output/inout; a port no declaration gives one is inout)."""
         if depth > MAX_DEPTH:
             raise ElaborationDepthError(
                 f"instantiation nesting exceeds {MAX_DEPTH} at {prefix or modname}"
@@ -239,32 +194,32 @@ class _Elaborator:
         if mod is None:
             raise UnknownModuleError(f"module {modname!r} is not defined in this design")
 
+        ports: list[TreeNode] = []
         params: set[str] = set()
+        directions: dict[str, str] = {}
+        decls: list[tuple[str, str]] = []
         for item in mod.children:
-            if item.label in ("Paramlist", "Decl"):
+            if item.label == "Portlist":
+                ports = item.children
+            elif item.label in ("Paramlist", "Decl"):
                 for d in item.children:
+                    assert d.name is not None
                     if d.label == "Parameter":
-                        assert d.name is not None
                         params.add(d.name)
+                    elif d.label in ("Wire", "Reg", "Input", "Output", "Inout"):
+                        decls.append((d.name, d.label.lower()))
+                        if d.label not in ("Wire", "Reg"):
+                            directions[d.name] = d.label.lower()
+        formals = [
+            (p.children[0].name, p.children[0].label.lower()) if p.label == "Ioport"
+            else (p.name, directions.get(p.name, "inout"))
+            for p in ports
+        ]
+        port_kinds = {"input": "input", "output": "output"} if is_top else {}
+        for name, label in formals + decls:
+            self.declare(prefix + name, port_kinds.get(label, "signal"))
+
         scope = _Scope(prefix, params)
-
-        # declarations first, in port order then item order
-        for pname, direction in self.module_ports(mod):
-            if is_top:
-                kind = {"input": "input", "output": "output", "inout": "signal"}[direction]
-            else:
-                kind = "signal"
-            self.declare(prefix + pname, kind)
-        for item in mod.children:
-            if item.label == "Decl":
-                for d in item.children:
-                    if d.label in ("Wire", "Reg", "Input", "Output", "Inout"):
-                        assert d.name is not None
-                        if is_top and d.label in ("Input", "Output"):
-                            self.declare(prefix + d.name, d.label.lower())
-                        else:
-                            self.declare(prefix + d.name)
-
         for item in mod.children:
             if item.label == "Assign":
                 lhs = item.children[0].children[0]
@@ -274,11 +229,10 @@ class _Elaborator:
                 env: dict[str, TreeNode] = {}
                 self.exec_stmt(item.children[1], env, scope)
                 for target, expr in env.items():
-                    self.assign_to(
-                        TreeNode("Identifier", target), self.convert(expr, scope), scope
-                    )
+                    self.contribute(prefix + target, self.convert(expr, scope))
             elif item.label == "InstanceList":
                 self.elab_instances(item, scope, depth)
+        return formals
 
     def elab_instances(self, item: TreeNode, scope: _Scope, depth: int) -> None:
         assert item.name is not None
@@ -289,8 +243,8 @@ class _Elaborator:
         for inst in item.children:
             assert inst.name is not None
             child_prefix = scope.prefix + inst.name + "."
-            self.elab_module(item.name, child_prefix, depth + 1, is_top=False)
-            self.bind_ports(item.name, inst, scope, child_prefix)
+            formals = self.elab_module(item.name, child_prefix, depth + 1, is_top=False)
+            self.bind_ports(item.name, formals, inst, scope, child_prefix)
 
     def elab_gate(self, gate: str, inst: TreeNode, scope: _Scope) -> None:
         args = [a.children[0] for a in inst.children if a.children]
@@ -301,46 +255,35 @@ class _Elaborator:
         else:
             outs, ins = args[:1], args[1:]
         for out in outs:
-            expr = TreeNode(
-                "_Gate", gate, [self.convert(i, scope) for i in ins]
-            )
-            self.assign_to(out, expr, scope)
+            self.assign_to(out, TreeNode("_Gate", gate, [self.convert(i, scope) for i in ins]), scope)
 
-    def bind_ports(self, modname: str, inst: TreeNode, scope: _Scope, child_prefix: str) -> None:
-        formals = self.module_ports(self.modules[modname])
+    def bind_ports(self, modname: str, formals: list[tuple[str, str]], inst: TreeNode,
+                   scope: _Scope, child_prefix: str) -> None:
         args = inst.children
         named = any(a.name is not None for a in args)
         if named and not all(a.name is not None or not a.children for a in args):
             raise VerilogSyntaxError(
                 f"instance {inst.name}: cannot mix positional and named connections"
             )
-        bindings: list[tuple[str, str, TreeNode]] = []
-        if named:
-            dirmap = dict(formals)
-            for a in args:
-                if not a.children:
-                    continue
-                assert a.name is not None
-                if a.name not in dirmap:
-                    raise UnknownSignalError(
-                        f"instance {inst.name}: module {modname} has no port {a.name!r}"
-                    )
-                bindings.append((a.name, dirmap[a.name], a.children[0]))
-        else:
-            if len(args) > len(formals):
-                raise VerilogSyntaxError(
-                    f"instance {inst.name}: {len(args)} connections for "
-                    f"{len(formals)} ports of {modname}"
+        if not named and len(args) > len(formals):
+            raise VerilogSyntaxError(
+                f"instance {inst.name}: {len(args)} connections for "
+                f"{len(formals)} ports of {modname}"
+            )
+        dirmap = dict(formals)
+        pairs = [((a.name, dirmap.get(a.name)), a) for a in args] if named else zip(formals, args)
+        for (fname, direction), a in pairs:
+            if not a.children:
+                continue
+            if direction is None:
+                raise UnknownSignalError(
+                    f"instance {inst.name}: module {modname} has no port {fname!r}"
                 )
-            for (fname, direction), a in zip(formals, args):
-                if a.children:
-                    bindings.append((fname, direction, a.children[0]))
-        for fname, direction, actual in bindings:
             formal_full = child_prefix + fname
             if direction in ("input", "inout"):
-                self.contribute(formal_full, self.convert(actual, scope))
+                self.contribute(formal_full, self.convert(a.children[0], scope))
             if direction in ("output", "inout"):
-                self.assign_to(actual, TreeNode("Identifier", formal_full), scope)
+                self.assign_to(a.children[0], TreeNode("Identifier", formal_full), scope)
 
     def finish(self) -> Elaborated:
         for name, exprs in self.contribs.items():

@@ -5,7 +5,7 @@ from .astgen import ast_graph
 from .dfg import dfg_graph
 from .graph import AST, DFG, HWGraph
 from .parser import parse_verilog
-from .source import FlatDesign, SourceUnit, find_top_module, flatten
+from .source import SourceUnit, find_top_module, flatten
 
 
 def hw2graph(
@@ -22,9 +22,9 @@ def hw2graph(
     """
     if kind not in (AST, DFG):
         raise ValueError(f"kind must be 'AST' or 'DFG', got {kind!r}")
-    flat: FlatDesign = flatten(design, name=design_name)
-    flat.top_module = top if top is not None else find_top_module(flat)
+    flat = flatten(design, name=design_name)
+    top = find_top_module(flat) if top is None else top
     tree = parse_verilog(flat)
     if kind == AST:
-        return ast_graph(tree, design_name=design_name or flat.top_module)
-    return dfg_graph(tree, top=flat.top_module, design_name=design_name or flat.top_module)
+        return ast_graph(tree, design_name=design_name or top)
+    return dfg_graph(tree, top=top, design_name=design_name or top)

@@ -37,13 +37,12 @@ class FlatDesign:
 
     ``module_counts`` maps each declared module name to the number of times
     that name appears as an identifier token in the flattened text; a module
-    declared once and never instantiated has count 1.  ``top_module`` is
-    filled in by find_top_module (or a caller-supplied override).
+    declared once and never instantiated has count 1; find_top_module reads
+    the top module from these counts.
     """
 
     text: str
     module_counts: dict[str, int] = field(default_factory=dict)
-    top_module: str | None = None
     name: str = ""
 
 

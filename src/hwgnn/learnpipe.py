@@ -126,10 +126,6 @@ def piracy_verdict(similarity: float, delta: float) -> str:
     return PIRACY if similarity > delta else NON_PIRACY
 
 
-def predict_piracy(model: GnnModel, t1: GraphTensors, t2: GraphTensors, delta: float) -> str:
-    return piracy_verdict(pair_similarity_value(model, t1, t2), delta)
-
-
 # --- metrics ---
 
 def compute_metrics(tp: int, fp: int, fn: int, tn: int, per_item=None) -> EvalReport:

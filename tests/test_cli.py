@@ -351,6 +351,18 @@ class TestTrainHt:
         assert ckpt.model.arch["in_dim"] == len(vocab)
         assert math.isfinite(ckpt.best_metric)
 
+    def test_failing_design_is_named(self, ht_corpus_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(ht_corpus_dir, corpus)
+        bad = next(p for p in sorted(corpus.iterdir()) if p.is_dir())
+        for src in bad.glob("*.v"):
+            src.write_text(BROKEN, encoding="utf-8")
+        cfg = write_config(tmp_path / "c.yml", corpus=str(corpus))
+        assert main(["train-ht", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad.name}: VerilogSyntaxError: "), err
+        assert err.count("\n") == 1
+
     def test_training_is_idempotent(self, ht_corpus_dir, tmp_path):
         cfg = write_config(tmp_path / "c.yml", corpus=str(ht_corpus_dir),
                            train={"epochs": 1, "conv_dims": [4], "mlp_hidden": [4]})
@@ -521,6 +533,21 @@ class TestEmbed:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: {edited / 'vocab.txt'}: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text, error", [
+        (BROKEN, "VerilogSyntaxError"),
+        (None, "EmptySourceError"),
+    ], ids=["broken", "empty"])
+    def test_failing_design_is_named(self, ht_artifacts, tmp_path, capsys, text, error):
+        cfg = write_config(tmp_path / "c.yml", checkpoint=str(ht_artifacts / "model.ckpt"))
+        good = make_design(tmp_path, "good")
+        bad = make_design(tmp_path, "bad", text) if text else tmp_path / "bad"
+        bad.mkdir(exist_ok=True)
+        argv = ["embed", "--config", cfg, "--out", str(tmp_path / "o"), str(good), str(bad)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad: {error}: "), err
+        assert err.count("\n") == 1
 
     def test_unseen_node_label_is_a_clean_error(self, ht_artifacts, tmp_path, capsys):
         # the Trojan corpus never uses unary negation, so ~ is out of vocabulary

@@ -472,9 +472,7 @@ def assert_corpus_matches_reference(designs_dir: Path) -> int:
     designs = sorted(p for p in designs_dir.iterdir() if p.is_dir())
     for d in designs:
         flat = flatten(load_design_dir(d), name=d.name)
-        top = find_top_module(flat)
-        flat.top_module = top
-        assert_matches_reference(parse_verilog(flat), top=top, name=d.name)
+        assert_matches_reference(parse_verilog(flat), top=find_top_module(flat), name=d.name)
     return len(designs)
 
 

@@ -63,7 +63,6 @@ class TestFlatten:
         flat = flatten(unit(MOD), name="d")
         assert flat.module_counts == {"top": 1}
         assert flat.name == "d"
-        assert flat.top_module is None
 
     def test_files_joined_in_order(self):
         a = "module a();\nendmodule"

@@ -343,14 +343,14 @@ class TestDecisionRules:
         t = star_tensors(4, "g")
         twin = GraphTensors(X=t.X.copy(), A=list(t.A), graph_id="g2")
         assert lp.pair_similarity_value(model, t, twin) == 1.0
-        assert lp.predict_piracy(model, t, twin, delta=0.5) == "Piracy"
+        assert lp.piracy_verdict(lp.pair_similarity_value(model, t, twin), 0.5) == "Piracy"
 
     def test_similarity_equal_to_delta_is_non_piracy(self):
         model = build_model({"in_dim": 2, "conv_dims": [4], "head": "siamese"}, seed=1)
         t = star_tensors(4, "g")
         twin = GraphTensors(X=t.X.copy(), A=list(t.A), graph_id="g2")
         # identical graphs score exactly 1, and the rule is strictly greater
-        assert lp.predict_piracy(model, t, twin, delta=1.0) == "Non_Piracy"
+        assert lp.piracy_verdict(lp.pair_similarity_value(model, t, twin), 1.0) == "Non_Piracy"
 
     @pytest.mark.parametrize("sim, delta, want", [
         (0.6, 0.5, "Piracy"), (0.5, 0.5, "Non_Piracy"), (0.4, 0.5, "Non_Piracy"),
@@ -362,10 +362,8 @@ class TestDecisionRules:
     def test_raising_delta_never_creates_piracy(self):
         model = build_model({"in_dim": 2, "conv_dims": [4], "head": "siamese"}, seed=5)
         a, b = star_tensors(5, "a"), chain_tensors(5, "b")
-        verdicts = [
-            lp.predict_piracy(model, a, b, delta=d)
-            for d in [-0.9, -0.5, 0.0, 0.3, 0.5, 0.7, 0.9]
-        ]
+        sim = lp.pair_similarity_value(model, a, b)
+        verdicts = [lp.piracy_verdict(sim, d) for d in [-0.9, -0.5, 0.0, 0.3, 0.5, 0.7, 0.9]]
         first_non = (
             verdicts.index("Non_Piracy") if "Non_Piracy" in verdicts else len(verdicts)
         )
@@ -428,7 +426,7 @@ def test_infer_ip_similarity_equals_the_report():
 
 
 @pytest.mark.parametrize("fn, name", [
-    (lp.evaluate_pairs, "delta"), (lp.predict_piracy, "delta"), (nc.contrastive_loss, "margin"),
+    (lp.evaluate_pairs, "delta"), (nc.contrastive_loss, "margin"),
     (pool_graph, "readout"), (build_adjacency, "directed"), (nc.Adam, "lr"),
     (build_model, "seed"),
 ])
